@@ -8,11 +8,17 @@ Example:
 The curve-pair benchmark doubles n three times; on a quadratic-time solver
 each doubling should roughly quadruple wall_ns, which is exactly what the
 emitted CSV lets you check (wall_ns column, min over repeats per size).
+
+Beside the CSVs, ``summary.json`` holds one row per problem and size: the
+min and median wall time over the repeats, in ms, and the answer (the
+same for every repeat, since answers depend only on the seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import statistics
 from pathlib import Path
 
 from ovgeom.bench import bench_csv, run_bench
@@ -46,17 +52,31 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = QUICK_PLAN if args.quick else FULL_PLAN
 
+    rows = []
     for problem, cfg in plan.items():
         records = run_bench(
             problem, cfg["sizes"], repeats=args.repeats, d=cfg["d"], seed=args.seed
         )
         path = out_dir / f"{problem}.csv"
         path.write_text(bench_csv(records))
-        best = {}
-        for r in records:
-            best[r.n] = min(best.get(r.n, r.wall_ns), r.wall_ns)
-        trend = "  ".join(f"n={n}:{ns / 1e6:.2f}ms" for n, ns in sorted(best.items()))
+        for n in cfg["sizes"]:
+            runs = [r for r in records if r.n == n]
+            if not runs:  # --repeats 0
+                continue
+            walls = [r.wall_ns / 1e6 for r in runs]
+            rows.append({
+                "problem": problem, "n": n, "d": cfg["d"], "repeats": len(runs),
+                "min_ms": round(min(walls), 3),
+                "median_ms": round(statistics.median(walls), 3),
+                "answer": runs[0].answer,
+            })
+        trend = "  ".join(
+            f"n={r['n']}:{r['min_ms']:.2f}ms" for r in rows if r["problem"] == problem
+        )
         print(f"{problem:<14} -> {path}   {trend}")
+    summary = out_dir / "summary.json"
+    summary.write_text(json.dumps({"seed": args.seed, "rows": rows}, indent=1) + "\n")
+    print(f"summary        -> {summary}")
     return 0
 
 

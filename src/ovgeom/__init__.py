@@ -45,7 +45,6 @@ from .embed import (
     FrechetEmbedding,
     embed_euclid,
     embed_frechet,
-    reduce_ov_to_bcp,
 )
 from .gadgets import (
     GadgetConfig,
@@ -58,6 +57,7 @@ from .gadgets import (
 )
 from .proximity import (
     BcpResult,
+    CurveScanIndex,
     KdTreeIndex,
     LinearScanIndex,
     NN_METRICS,
@@ -116,7 +116,6 @@ __all__ = [
     "FrechetEmbedding",
     "embed_euclid",
     "embed_frechet",
-    "reduce_ov_to_bcp",
     # gadgets
     "GadgetConfig",
     "GadgetValidation",
@@ -127,6 +126,7 @@ __all__ = [
     "vector_gadget",
     # proximity
     "BcpResult",
+    "CurveScanIndex",
     "KdTreeIndex",
     "LinearScanIndex",
     "NN_METRICS",

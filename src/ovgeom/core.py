@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from math import lcm
 
 __all__ = [
     "Rat",
@@ -62,7 +63,8 @@ def bit_vector(bits) -> BitVector:
 
 def point(coords) -> PointD:
     """Freeze a coordinate sequence into a point of exact rationals."""
-    pt = tuple(Rat(c) for c in coords)
+    # A Rat is immutable, so one that arrives as a Rat is kept, not rebuilt.
+    pt = tuple(c if type(c) is Rat else Rat(c) for c in coords)
     if not pt:
         raise ValueError("point must have dimension >= 1")
     return pt
@@ -139,32 +141,41 @@ def inner_product(a: BitVector, b: BitVector) -> int:
 
 
 def squared_euclidean(p: PointD, q: PointD) -> SqDist:
-    """Exact squared Euclidean distance between equal-dimension points."""
+    """Exact squared Euclidean distance between equal-dimension points.
+
+    A ``Rat`` for rational points; an ``int`` for points on an integer grid.
+    """
     if len(p) != len(q):
         raise ValueError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    total = Rat(0)
+    total = 0
     for x, y in zip(p, q):
         diff = x - y
         total += diff * diff
     return total
 
 
-def as_integer_grid(curves: list[Curve2]) -> tuple[list[list[tuple[int, int]]], int]:
-    """Rescale rational curves onto a common integer grid.
+def as_integer_grid(
+    groups, scale: int = 1
+) -> tuple[list[list[tuple[int, ...]]], int]:
+    """Rescale groups of rational points onto one common integer grid.
 
-    Returns integer vertex lists plus the scale factor L such that original
-    coordinate = int coordinate / L.  Squared distances on the grid are the
-    original squared distances times L**2, exactly.  This keeps the dynamic
-    programs on machine ints without leaving exact arithmetic.
+    ``groups`` is a sequence of point sequences of any dimension (a planar
+    curve is one such group).  Returns the groups with every coordinate x
+    replaced by the int x·L, plus the grid scale L: the least common
+    multiple of ``scale`` and of every coordinate's denominator.  Squared
+    distances on the grid are the original squared distances times L**2,
+    exactly.
+
+    This is the package's one rational-to-integer boundary: the Fréchet
+    dynamic programs, closest-pair scans and nearest-neighbour structures
+    run on these ints, and Fractions appear only where input is parsed and
+    where a result leaves as ``Rat(total, L * L)``.
     """
-    from math import lcm
-
-    denom = 1
-    for c in curves:
-        for x, y in c:
-            denom = lcm(denom, x.denominator, y.denominator)
-    scaled = [
-        [(int(x * denom), int(y * denom)) for x, y in c]
-        for c in curves
-    ]
-    return scaled, denom
+    dens = {x.denominator for g in groups for p in g for x in p}
+    grid = lcm(scale, *dens)
+    if grid == 1:
+        return [[tuple(x.numerator for x in p) for p in g] for g in groups], 1
+    return [
+        [tuple(x.numerator * (grid // x.denominator) for x in p) for p in g]
+        for g in groups
+    ], grid

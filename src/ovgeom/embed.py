@@ -42,7 +42,6 @@ __all__ = [
     "embed_point_a",
     "embed_point_b",
     "embed_euclid",
-    "reduce_ov_to_bcp",
     "embed_curve_a",
     "embed_curve_b",
     "embed_frechet",
@@ -82,16 +81,6 @@ def embed_euclid(inst: OvInstance) -> EuclidEmbedding:
         points_b=tuple(embed_point_b(b) for b in inst.b_side),
         tau_sq=Rat(inst.d),
     )
-
-
-def reduce_ov_to_bcp(inst: OvInstance) -> EuclidEmbedding:
-    """Reduction to bichromatic closest pair.
-
-    Identical construction to ``embed_euclid``; the contract is that the
-    instance has an orthogonal pair iff the closest a/b point pair of the
-    output has squared distance <= tau_sq.
-    """
-    return embed_euclid(inst)
 
 
 def embed_curve_a(a: BitVector) -> Curve2:

@@ -1,10 +1,13 @@
 """Bichromatic closest pair and exact nearest-neighbor structures.
 
-Everything here is exact: the kd-tree prunes with rational arithmetic
-against the squared best radius, so its answers (distance *and* index)
-are bit-identical to a linear scan.  Ties are broken toward the smallest
-0-based index, and toward the lexicographically smallest (index_p,
-index_q) pair for closest-pair scans.
+Everything here is exact.  Point sets are rescaled once onto one integer
+grid (``core.as_integer_grid``), and every scan, split and pruning test
+runs on its ints; results leave as ``Rat(total, L * L)`` for grid scale L.
+The kd-tree prunes against the squared best radius in the same integer
+arithmetic, so its answers (distance *and* index) are bit-identical to a
+linear scan.  Ties are broken toward the smallest 0-based index, and
+toward the lexicographically smallest (index_p, index_q) pair for
+closest-pair scans.
 
 Curve collections use the discrete Fréchet distance via linear scan only;
 there is no spatial index for curves.
@@ -13,8 +16,9 @@ there is no spatial index for curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .core import Curve2, PointD, Rat, SqDist, curve, point, squared_euclidean
+from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
 from .frechet import frechet_sq_value
 
 __all__ = [
@@ -22,6 +26,7 @@ __all__ = [
     "NnIndex",
     "LinearScanIndex",
     "KdTreeIndex",
+    "CurveScanIndex",
     "bcp_euclid",
     "bcp_frechet",
     "nn_build",
@@ -41,6 +46,32 @@ class BcpResult:
     sq_value: SqDist
 
 
+def _sq_norms(coords: list[tuple[int, ...]]) -> list[int]:
+    return [sum(map(mul, p, p)) for p in coords]
+
+
+def _nearest(coords, norms, idxs, q2, k, best=None) -> tuple[int, int]:
+    """Lowest (key, index) over ``coords[i]`` for i in ``idxs``.
+
+    The one squared-distance scan of the Euclidean kernels.  For a grid
+    query q on a grid k times finer than ``coords`` (k = 1 when they share
+    it), ``q2`` is 2q and ``norms[i]`` is |coords[i]|²; the key
+    k·|p|² − p·q2 satisfies k·key + |q|² = |k·p − q|², so keys order the
+    points exactly as their squared distances to q do.  Equal keys go to
+    the lower index.  ``best`` is a (key, index) pair found earlier; when
+    None, the first index of ``idxs`` (which must be non-empty) seeds it.
+    """
+    if best is None:
+        i = idxs[0]
+        best = (k * norms[i] - sum(map(mul, coords[i], q2)), i)
+    best_key, best_i = best
+    for i in idxs:
+        key = k * norms[i] - sum(map(mul, coords[i], q2))
+        if key < best_key or (key == best_key and i < best_i):
+            best_key, best_i = key, i
+    return best_key, best_i
+
+
 def bcp_euclid(points_p, points_q) -> BcpResult:
     """Exact pairwise scan over two point families."""
     p_side = [point(p) for p in points_p]
@@ -51,13 +82,16 @@ def bcp_euclid(points_p, points_q) -> BcpResult:
     for pt in p_side + q_side:
         if len(pt) != dim:
             raise ValueError("all points must share one dimension")
-    best: tuple[SqDist, int, int] | None = None
-    for i, p in enumerate(p_side):
-        for j, q in enumerate(q_side):
-            d = squared_euclidean(p, q)
-            if best is None or (d, i, j) < best:
-                best = (d, i, j)
-    return BcpResult(best[1], best[2], best[0])
+    (grid_p, grid_q), scale = as_integer_grid([p_side, q_side])
+    norms_q = _sq_norms(grid_q)
+    all_q = range(len(grid_q))
+    best: tuple[int, int, int] | None = None  # (grid sq distance, i, j)
+    for i, p in enumerate(grid_p):
+        key, j = _nearest(grid_q, norms_q, all_q, [2 * x for x in p], 1)
+        d = key + sum(map(mul, p, p))
+        if best is None or d < best[0]:  # i ascends, so ties keep the lower i
+            best = (d, i, j)
+    return BcpResult(best[1], best[2], Rat(best[0], scale * scale))
 
 
 def bcp_frechet(curves_p, curves_q) -> BcpResult:
@@ -76,20 +110,30 @@ def bcp_frechet(curves_p, curves_q) -> BcpResult:
 
 
 class LinearScanIndex:
-    """Baseline index: store everything, scan on query."""
+    """Baseline point index: store everything, scan on query.
 
-    def __init__(self, items, metric, dim: int | None):
-        self.items = items
-        self.metric = metric
+    Points are held on one integer grid of scale ``scale`` (coordinate =
+    int / scale) together with their squared norms.
+    """
+
+    def __init__(self, points: list[PointD], dim: int):
+        (self.coords,), self.scale = as_integer_grid([points])
+        self.norms = _sq_norms(self.coords)
         self.dim = dim
 
-    def query(self, q) -> tuple[int, SqDist]:
-        best_i, best_d = 0, self.metric(self.items[0], q)
-        for i in range(1, len(self.items)):
-            d = self.metric(self.items[i], q)
-            if d < best_d:
-                best_i, best_d = i, d
-        return best_i, best_d
+    def query(self, q: PointD) -> tuple[int, SqDist]:
+        # A query whose denominators do not divide the index's scale goes
+        # on a grid k times finer; the stored ints are scaled by k inside
+        # the key, never rebuilt.
+        ((qg,),), scale = as_integer_grid([(q,)], self.scale)
+        k = scale // self.scale
+        q_norm = sum(map(mul, qg, qg))
+        key, i = self._search(qg, [2 * x for x in qg], q_norm, k)
+        return i, Rat(k * key + q_norm, scale * scale)
+
+    def _search(self, qg, q2, q_norm, k) -> tuple[int, int]:
+        """(key, index) of the nearest point; see ``_nearest`` for the key."""
+        return _nearest(self.coords, self.norms, range(len(self.coords)), q2, k)
 
 
 class _KdNode:
@@ -106,29 +150,30 @@ class _KdNode:
 _LEAF_SIZE = 8
 
 
-class KdTreeIndex:
-    """Exact kd-tree over rational points.
+class KdTreeIndex(LinearScanIndex):
+    """Exact kd-tree over rational points, built on their integer grid.
 
     Splitting axis cycles with depth; the split value is the lower median
-    coordinate and points on the splitting plane go left.  Queries prune a
-    subtree only when the squared distance to its separating plane
-    strictly exceeds the current best squared radius, so results
-    (including smallest-index tie-breaking) match a linear scan exactly.
+    coordinate and points on the splitting plane go left.  Rescaling by the
+    grid scale keeps every order, so the tree is the one the rationals
+    would give.  Queries prune a subtree only when the squared distance to
+    its separating plane strictly exceeds the current best squared radius,
+    so results (including smallest-index tie-breaking) match a linear scan
+    exactly.
     """
 
     def __init__(self, points: list[PointD], dim: int):
-        self.points = points
-        self.dim = dim
+        super().__init__(points, dim)
         self.root = self._build(list(range(len(points))), 0)
 
     def _build(self, idxs: list[int], depth: int) -> _KdNode:
         if len(idxs) <= _LEAF_SIZE:
             return _KdNode(bucket=sorted(idxs))
         axis = depth % self.dim
-        coords = sorted(self.points[i][axis] for i in idxs)
+        coords = sorted(self.coords[i][axis] for i in idxs)
         split = coords[(len(coords) - 1) // 2]  # lower median
-        left = [i for i in idxs if self.points[i][axis] <= split]
-        right = [i for i in idxs if self.points[i][axis] > split]
+        left = [i for i in idxs if self.coords[i][axis] <= split]
+        right = [i for i in idxs if self.coords[i][axis] > split]
         if not right:  # all coordinates on this axis coincide with the median
             return _KdNode(bucket=sorted(idxs))
         return _KdNode(
@@ -138,30 +183,43 @@ class KdTreeIndex:
             right=self._build(right, depth + 1),
         )
 
-    def query(self, q: PointD) -> tuple[int, SqDist]:
-        best: list = [None, None]  # best[0] = sq dist, best[1] = index
-
-        def scan_bucket(node):
-            for i in node.bucket:
-                d = squared_euclidean(self.points[i], q)
-                if best[0] is None or (d, i) < (best[0], best[1]):
-                    best[0], best[1] = d, i
+    def _search(self, qg, q2, q_norm, k) -> tuple[int, int]:
+        coords, norms = self.coords, self.norms
+        best = None  # (key, index); set by the first bucket visited
 
         def visit(node):
+            nonlocal best
             if node.bucket is not None:
-                scan_bucket(node)
+                best = _nearest(coords, norms, node.bucket, q2, k, best)
                 return
-            gap = q[node.axis] - node.split
+            gap = qg[node.axis] - k * node.split
             near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)
             visit(near)
-            if best[0] is None or gap * gap <= best[0]:
+            if gap * gap <= k * best[0] + q_norm:  # squared radius on q's grid
                 visit(far)
 
         visit(self.root)
-        return best[1], best[0]
+        return best
 
 
-NnIndex = LinearScanIndex | KdTreeIndex
+class CurveScanIndex:
+    """Curve index: store everything, scan by squared discrete Fréchet."""
+
+    dim = None
+
+    def __init__(self, curves: list[Curve2]):
+        self.curves = curves
+
+    def query(self, q: Curve2) -> tuple[int, SqDist]:
+        best_i, best_d = 0, frechet_sq_value(self.curves[0], q)
+        for i in range(1, len(self.curves)):
+            d = frechet_sq_value(self.curves[i], q)
+            if d < best_d:
+                best_i, best_d = i, d
+        return best_i, best_d
+
+
+NnIndex = LinearScanIndex | KdTreeIndex | CurveScanIndex
 
 
 def nn_build(items, metric: str) -> NnIndex:
@@ -180,7 +238,7 @@ def nn_build(items, metric: str) -> NnIndex:
             curves = [curve(c) for c in items]
         except TypeError as exc:
             raise ValueError(f"metric {metric!r} indexes curves, not points") from exc
-        return LinearScanIndex(curves, frechet_sq_value, dim=None)
+        return CurveScanIndex(curves)
     try:
         pts = [point(p) for p in items]
     except TypeError as exc:
@@ -190,7 +248,7 @@ def nn_build(items, metric: str) -> NnIndex:
         if len(p) != dim:
             raise ValueError("all indexed points must share one dimension")
     if metric == "euclid-linear":
-        return LinearScanIndex(pts, squared_euclidean, dim=dim)
+        return LinearScanIndex(pts, dim)
     return KdTreeIndex(pts, dim)
 
 

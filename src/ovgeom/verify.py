@@ -21,8 +21,9 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
+from math import floor
 
-from .core import OvInstance, squared_euclidean
+from .core import OvInstance, as_integer_grid, squared_euclidean
 from .embed import embed_euclid, embed_frechet
 from .frechet import frechet_decide
 from .formats import format_instance
@@ -95,10 +96,11 @@ def instance_id(inst: OvInstance) -> str:
 
 def _solve_euclid_pairs(inst: OvInstance) -> bool:
     emb = embed_euclid(inst)
+    (grid_a, grid_b), scale = as_integer_grid([emb.points_a, emb.points_b])
+    # an int grid distance is <= tau_sq * scale**2 iff it is <= its floor
+    limit = floor(emb.tau_sq * scale * scale)
     return any(
-        squared_euclidean(p, q) <= emb.tau_sq
-        for p in emb.points_a
-        for q in emb.points_b
+        squared_euclidean(p, q) <= limit for p in grid_a for q in grid_b
     )
 
 

@@ -171,3 +171,13 @@ class TestIntegerGrid:
     def test_integer_input_scale_is_one(self):
         (grid,), scale = as_integer_grid([curve(((1, 2), (3, 4)))])
         assert scale == 1 and grid == [(1, 2), (3, 4)]
+
+    def test_point_groups_of_any_dimension(self):
+        line = [point((Fraction(1, 2),)), point((-3,)), point((Fraction(2, 3),))]
+        wide = [point((1, Fraction(-1, 4), 0, 5, Fraction(7, 6)))]
+        (g1, g5), scale = as_integer_grid([line, wide])
+        assert scale == 12
+        assert g1 == [(6,), (-36,), (8,)]
+        assert g5 == [(12, -3, 0, 60, 14)]
+        (g,), scale = as_integer_grid([[point((1, -2, 3, 0, 9)), point((4, 4, 4, 4, 4))]])
+        assert scale == 1 and g == [(1, -2, 3, 0, 9), (4, 4, 4, 4, 4)]

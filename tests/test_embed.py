@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given
 
 from conftest import instances, vector_pairs
-from ovgeom.core import inner_product, ov_instance, squared_euclidean
+from ovgeom.core import inner_product, squared_euclidean
 from ovgeom.embed import (
     embed_curve_a,
     embed_curve_b,
@@ -14,7 +14,6 @@ from ovgeom.embed import (
     embed_frechet,
     embed_point_a,
     embed_point_b,
-    reduce_ov_to_bcp,
 )
 from ovgeom.frechet import frechet_decide, frechet_sq_value
 from ovgeom.proximity import bcp_euclid
@@ -68,10 +67,6 @@ class TestPointEmbedding:
         assert emb.tau_sq == Fraction(inst.d)
         assert all(c in (1, 3) for p in emb.points_a for c in p)
         assert all(c in (0, 2) for q in emb.points_b for c in q)
-
-    def test_bcp_alias_is_same_construction(self):
-        inst = ov_instance([(1, 0), (0, 1)], [(1, 1)])
-        assert reduce_ov_to_bcp(inst) == embed_euclid(inst)
 
     @given(instances())
     def test_closest_pair_answers_the_instance(self, inst):

@@ -208,3 +208,114 @@ class TestCompositionWithEmbedding:
         idx = nn_build(emb.points_a, "euclid-kdtree")
         best = min(nn_query(idx, q)[1] for q in emb.points_b)
         assert best == bcp.sq_value
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer-grid kernels against a Fraction reference.
+# ---------------------------------------------------------------------------
+
+
+def frac_sq(p, q):
+    """Reference squared distance, computed in Fractions only."""
+    return sum(((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(p, q)), Fraction(0))
+
+
+def ref_nearest(pts, q):
+    """Reference (squared distance, lowest index) nearest neighbour."""
+    return min((frac_sq(p, q), i) for i, p in enumerate(pts))
+
+
+# Large coprime denominators inflate the grid scale; mixed signs, integers
+# and small fractions sit beside them.
+hostile_coord = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.sampled_from(
+        [Fraction(1, 999983), Fraction(1, 1000003), Fraction(-7, 999983), Fraction(0)]
+    ),
+)
+
+
+@st.composite
+def hostile_families(draw, count: int):
+    """``count`` point families of one dimension d in [1, 4].
+
+    Points are drawn from a small pool, so duplicates are common, and one
+    axis may be held constant across every family.
+    """
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[hostile_coord] * d), min_size=1, max_size=6))
+    axis = draw(st.none() | st.integers(0, d - 1))
+    value = draw(hostile_coord)
+    families = []
+    for _ in range(count):
+        fam = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+        if axis is not None:
+            fam = [p[:axis] + (value,) + p[axis + 1:] for p in fam]
+        families.append(fam)
+    return families
+
+
+def assert_nn_matches_reference(pts, queries):
+    for metric in ("euclid-linear", "euclid-kdtree"):
+        idx = nn_build(pts, metric)
+        for q in queries:
+            pos, sq = nn_query(idx, q)
+            want_sq, want_pos = ref_nearest(pts, q)
+            assert type(sq) is Fraction
+            assert (sq, pos) == (want_sq, want_pos)
+
+
+def assert_bcp_matches_reference(ps, qs):
+    res = bcp_euclid(ps, qs)
+    assert type(res.sq_value) is Fraction
+    assert (res.sq_value, res.index_p, res.index_q) == naive_bcp(ps, qs, frac_sq)
+
+
+class TestIntegerKernelsAgainstFractionReference:
+    @given(hostile_families(2))
+    def test_bcp_on_hostile_families(self, fams):
+        assert_bcp_matches_reference(*fams)
+
+    @given(hostile_families(2))
+    def test_nn_on_hostile_families(self, fams):
+        assert_nn_matches_reference(*fams)
+
+    def test_coprime_denominators(self):
+        ps = [(Fraction(1, 999983), 0), (Fraction(-1, 1000003), Fraction(1, 999983))]
+        qs = [(Fraction(1, 1000003), Fraction(-1, 999983)), (0, 0)]
+        assert_bcp_matches_reference(ps, qs)
+        assert_nn_matches_reference(ps, qs)
+
+    def test_query_denominator_outside_the_index_grid(self):
+        # Index scale 3; the queries' denominators 999983 and 7 do not
+        # divide it.  Twenty points give the k-d tree a split at x = 1003;
+        # the first query lies just right of it, next to a left point, while
+        # every right point is 100 away in y, so the far side must be
+        # searched.  Far from the origin, the squared-radius test there
+        # only holds when it uses the full distance.
+        pts = [(1000 + Fraction(i, 3), 1000) for i in range(10)]
+        pts += [(1004 + Fraction(i, 3), 1100) for i in range(10)]
+        for metric in ("euclid-linear", "euclid-kdtree"):
+            assert nn_build(pts, metric).scale == 3
+        queries = [
+            (1003 + Fraction(1, 999983), 1000),
+            (Fraction(7050, 7), Fraction(-1, 999983)),
+            (Fraction(3019, 3), 1100),
+        ]
+        assert_nn_matches_reference(pts, queries)
+        assert nn_query(nn_build(pts, "euclid-kdtree"), queries[0])[0] == 9
+
+    def test_dimension_one_with_negatives(self):
+        pts = [(-5,), (Fraction(-9, 2),), (3,), (-5,)]
+        assert_bcp_matches_reference(pts, [(Fraction(-19, 4),), (2,)])
+        assert_nn_matches_reference(pts, [(-5,), (Fraction(-19, 4),), (-4,), (100,)])
+
+    def test_single_points(self):
+        assert_bcp_matches_reference([(Fraction(1, 7), -2)], [(3, Fraction(-1, 11))])
+        assert_nn_matches_reference([(Fraction(1, 7), -2)], [(3, Fraction(-1, 11))])
+
+    def test_duplicates_and_constant_axis_tie_to_lowest_index(self):
+        pts = [(2, 7, 1), (0, 7, 1), (0, 7, 1), (2, 7, 1)] * 5
+        assert_bcp_matches_reference(pts, [(1, 7, 1), (0, 7, 1)])
+        assert_nn_matches_reference(pts, [(1, 7, 1), (0, 7, 1), (2, 0, 0)])
