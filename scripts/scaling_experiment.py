@@ -25,6 +25,7 @@ from ovgeom.bench import bench_csv, run_bench
 
 FULL_PLAN = {
     "ov": dict(sizes=[128, 256, 512, 1024], d=16),
+    "ov-none": dict(sizes=[256, 512, 1024, 2048], d=32),
     "bcp-euclid": dict(sizes=[32, 64, 128, 256], d=8),
     "bcp-frechet": dict(sizes=[8, 16, 32], d=6),
     "frechet-pair": dict(sizes=[128, 256, 512, 1024], d=2),
@@ -33,6 +34,7 @@ FULL_PLAN = {
 
 QUICK_PLAN = {
     "ov": dict(sizes=[32, 64], d=8),
+    "ov-none": dict(sizes=[32, 64], d=8),
     "bcp-euclid": dict(sizes=[8, 16], d=4),
     "bcp-frechet": dict(sizes=[4, 8], d=4),
     "frechet-pair": dict(sizes=[32, 64], d=2),

@@ -25,7 +25,7 @@ from .proximity import bcp_euclid, bcp_frechet, nn_build, nn_query
 
 __all__ = ["CSV_HEADER", "PROBLEMS", "BenchRecord", "bench_csv", "run_bench"]
 
-PROBLEMS = ("ov", "bcp-euclid", "bcp-frechet", "frechet-pair", "nn-query")
+PROBLEMS = ("ov", "ov-none", "bcp-euclid", "bcp-frechet", "frechet-pair", "nn-query")
 
 CSV_HEADER = "problem,n,d,seed,repeat,wall_ns,answer"
 
@@ -63,8 +63,11 @@ def _workload(problem: str, n: int, d: int, seed: int):
     """Build the (untimed) inputs; return a zero-argument solve closure."""
     rng = random.Random(f"{seed}:bench:{problem}:n={n}:d={d}")
 
-    if problem == "ov":
-        inst = generate(GenSpec("uniform-random", n, d, seed=rng.randrange(2**32)))
+    if problem in ("ov", "ov-none"):
+        # uniform bits usually give an early witness; "ov-none" has no
+        # witness, so the solve is a full scan
+        family = "uniform-random" if problem == "ov" else "no-orthogonal"
+        inst = generate(GenSpec(family, n, d, seed=rng.randrange(2**32)))
         return lambda: "1" if ov_decide(inst) else "0"
 
     if problem == "bcp-euclid":

@@ -102,19 +102,26 @@ class OvInstance:
     d: int
 
     def __post_init__(self):
-        if not self.a_side or not self.b_side:
-            raise ValueError("both vector families must be non-empty")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_shape(self.a_side, self.b_side, self.d)
         for fam in (self.a_side, self.b_side):
             for vec in fam:
-                if len(vec) != self.d:
-                    raise ValueError(
-                        f"vector length {len(vec)} != instance dimension {self.d}"
-                    )
                 for b in vec:
                     if b not in (0, 1):
                         raise ValueError("vector entries must be 0 or 1")
+
+    @classmethod
+    def _from_checked(cls, a_side, b_side, d: int) -> OvInstance:
+        """Build from tuples of 0/1 ints whose shape the caller has checked.
+
+        Skips ``__post_init__``, so each bit is validated once: by
+        ``parse_instance`` or ``bit_vector``, or not at all where the caller
+        builds the bits itself, as the gadget certification does.
+        """
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "a_side", a_side)
+        object.__setattr__(inst, "b_side", b_side)
+        object.__setattr__(inst, "d", d)
+        return inst
 
     @property
     def n_a(self) -> int:
@@ -125,12 +132,25 @@ class OvInstance:
         return len(self.b_side)
 
 
+def _check_shape(a_side, b_side, d: int) -> None:
+    if not a_side or not b_side:
+        raise ValueError("both vector families must be non-empty")
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    for fam in (a_side, b_side):
+        for vec in fam:
+            if len(vec) != d:
+                raise ValueError(f"vector length {len(vec)} != instance dimension {d}")
+
+
 def ov_instance(a_side, b_side) -> OvInstance:
     """Build an instance from raw bit sequences, inferring the dimension."""
     a = tuple(bit_vector(v) for v in a_side)
     if not a:
         raise ValueError("A side must be non-empty")
-    return OvInstance(a, tuple(bit_vector(v) for v in b_side), len(a[0]))
+    b = tuple(bit_vector(v) for v in b_side)
+    _check_shape(a, b, len(a[0]))
+    return OvInstance._from_checked(a, b, len(a[0]))
 
 
 def inner_product(a: BitVector, b: BitVector) -> int:

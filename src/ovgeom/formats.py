@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Curve2, OvInstance, PointD, Rat, curve, ov_instance, point
+from .core import Curve2, OvInstance, PointD, Rat, curve, point
 
 __all__ = [
     "FormatError",
@@ -83,6 +83,9 @@ def format_instance(inst: OvInstance, header: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BITS = {"0": 0, "1": 1}  # the tokens format_instance writes
+
+
 def parse_instance(text: str) -> OvInstance:
     rows = _data_lines(text)
     if not rows:
@@ -94,12 +97,21 @@ def parse_instance(text: str) -> OvInstance:
         raise FormatError(
             f"instance header promises {n_a}+{n_b} rows, file has {len(rows) - 1}"
         )
-    vecs = [_ints(row, d) for row in rows[1:]]
-    for row in vecs:
-        for b in row:
-            if b not in (0, 1):
-                raise FormatError(f"instance entries must be bits, got {b}")
-    return ov_instance(vecs[:n_a], vecs[n_a:])
+    try:
+        vecs = [tuple(map(_BITS.__getitem__, row)) for row in rows[1:]]
+    except KeyError:  # a token other than exactly "0" or "1"
+        vecs = None
+    if vecs is None or any(len(vec) != d for vec in vecs):
+        # Fall back to int() on every token, so "01" or "+1" are bits too.
+        # Every row is converted before any bit is checked; that order
+        # fixes which error a file with several faults reports.
+        vecs = [_ints(row, d) for row in rows[1:]]
+        for row in vecs:
+            for b in row:
+                if b not in (0, 1):
+                    raise FormatError(f"instance entries must be bits, got {b}")
+        vecs = [tuple(row) for row in vecs]
+    return OvInstance._from_checked(tuple(vecs[:n_a]), tuple(vecs[n_a:]), d)
 
 
 def _format_curve_lines(c: Curve2) -> list[str]:

@@ -192,7 +192,7 @@ def _exhaustive_instances(max_n: int, max_d: int):
                     stack_b = [s + (v,) for s in stack_b for v in vecs]
                 for fam_a in stack_a:
                     for fam_b in stack_b:
-                        yield OvInstance(fam_a, fam_b, d)
+                        yield OvInstance._from_checked(fam_a, fam_b, d)
 
 
 def _random_instance(rng: Random, max_n: int, max_d: int) -> OvInstance:
@@ -200,7 +200,7 @@ def _random_instance(rng: Random, max_n: int, max_d: int) -> OvInstance:
     n_a = rng.randint(1, max_n)
     n_b = rng.randint(1, max_n)
     draw = lambda: tuple(rng.randint(0, 1) for _ in range(d))
-    return OvInstance(
+    return OvInstance._from_checked(
         tuple(draw() for _ in range(n_a)),
         tuple(draw() for _ in range(n_b)),
         d,

@@ -23,10 +23,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BitVector, OvInstance, Rat, ov_instance
+from .core import OvInstance, Rat, ov_instance
 from .ov import OvWitness, nth_root_ceil, ov_count
 
-__all__ = ["FAMILIES", "GenSpec", "bit_density", "generate", "planted_witness"]
+__all__ = ["FAMILIES", "GenSpec", "generate", "planted_witness"]
 
 FAMILIES = (
     "uniform-random",
@@ -112,10 +112,3 @@ def planted_witness(spec: GenSpec) -> OvWitness:
     _random_bits(rng, spec.n, spec.d)
     _random_bits(rng, spec.n, spec.d)
     return OvWitness(index_a=rng.randrange(spec.n), index_b=rng.randrange(spec.n))
-
-
-def bit_density(vecs: tuple[BitVector, ...]) -> Rat:
-    """Fraction of 1-bits over all coordinates (diagnostic for tests)."""
-    total = sum(len(v) for v in vecs)
-    ones = sum(sum(v) for v in vecs)
-    return Fraction(ones, total)

@@ -46,6 +46,24 @@ def instances(max_n: int = 5, max_d: int = 5):
     return st.integers(1, max_d).flatmap(build)
 
 
+# Instance files that parse_instance rejects, each with its exact message.
+# Every row is converted with int() before any bit is checked, so a
+# non-integer or wrong-width row wins over an earlier non-bit entry.
+MALFORMED_INSTANCES = [
+    ("1 1 2\n1 2\n0 1\n", "instance entries must be bits, got 2"),
+    ("1 1 1\n-1\n0\n", "instance entries must be bits, got -1"),
+    ("1 1 1\n1_0\n0\n", "instance entries must be bits, got 10"),
+    ("1 1 1\nx\n0\n", "expected integers, got ['x']"),
+    ("1 1 1\n1.0\n0\n", "expected integers, got ['1.0']"),
+    ("1 1 2\n1\n0 1\n", "expected 2 fields, got 1: ['1']"),
+    ("1 1 2\n1 0 1\n0 1\n", "expected 2 fields, got 3: ['1', '0', '1']"),
+    ("1 2 1\n1\n0\n", "instance header promises 1+2 rows, file has 2"),
+    ("0 1 1\n1\n", "bad instance header ['0', '1', '1']"),
+    ("1 1 0\n1\n0\n", "bad instance header ['1', '1', '0']"),
+    ("1 1 1\n2\nx\n", "expected integers, got ['x']"),
+    ("1 1 2\n2 0\n1\n", "expected 2 fields, got 1: ['1']"),
+]
+
 small_coord = st.integers(-8, 8)
 
 rational_coord = st.fractions(

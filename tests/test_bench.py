@@ -68,6 +68,11 @@ class TestRecords:
         records = run_bench("nn-query", [8], repeats=1, d=3, seed=0)
         assert parse_rat(records[0].answer) >= 0
 
+    def test_ov_none_is_a_full_scan_with_no_witness(self):
+        for seed in range(4):
+            records = run_bench("ov-none", [16, 32], repeats=1, d=6, seed=seed)
+            assert [r.answer for r in records] == ["0", "0"]
+
     def test_all_problems_run_small(self):
         for problem in PROBLEMS:
             records = run_bench(problem, [3], repeats=1, d=3, seed=0)

@@ -1,7 +1,13 @@
 """End-to-end command-line tests driving ``ovgeom.cli.main`` in process."""
 
-import pytest
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import MALFORMED_INSTANCES
 from ovgeom import __version__
 from ovgeom.cli import main
 from ovgeom.formats import (
@@ -126,12 +132,88 @@ class TestSolve:
         assert code == 2
         assert "--in" in err
 
+    @pytest.mark.parametrize("text, message", MALFORMED_INSTANCES)
+    def test_malformed_instance_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "i.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "solve", "ov", "--in", str(path))
+        assert (code, out, err) == (2, "", f"ovgeom: error: {message}\n")
+
     def test_wrong_file_shape_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "pts.txt"
         path.write_text("2 2\n0/1 0/1\n1/1 1/1\n")
         code, _, err = run_cli(capsys, "solve", "ov", "--in", str(path))
         assert code == 2
         assert "ovgeom: error:" in err
+
+
+BIT_SPELLINGS = ["0", "1", "01", "+1", "-0"]
+HOSTILE_TOKENS = ["2", "-1", "x", "1.0", "1_0", "#"]
+
+
+@st.composite
+def instance_files(draw):
+    """A well-formed instance file of bit spellings, then up to two edits:
+    a hostile token, a row one token wider or narrower, a row more or fewer."""
+    n_a, n_b, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(BIT_SPELLINGS), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=n_a + n_b, max_size=n_a + n_b))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["token", "wider", "narrower", "more", "fewer"]))
+        at = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        if edit == "token" and rows:
+            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(
+                st.sampled_from(HOSTILE_TOKENS)
+            )
+        elif edit == "wider" and rows:
+            rows[at].append("1")
+        elif edit == "narrower" and rows and len(rows[at]) > 1:
+            rows[at].pop()
+        elif edit == "more":
+            rows.insert(at, draw(row))
+        elif edit == "fewer" and rows:
+            rows.pop(at)
+    return n_a, n_b, d, rows
+
+
+class TestSolveOvFuzz:
+    """Edited instance files: exit 0 when int() reads a well-shaped 0/1
+    matrix from them, else exit 2 with a one-line error."""
+
+    @given(instance_files())
+    def test_exit_zero_or_two(self, tmp_path_factory, file):
+        n_a, n_b, d, rows = file
+        path = tmp_path_factory.mktemp("fuzz") / "i.txt"
+        path.write_text(f"{n_a} {n_b} {d}\n" + "".join(" ".join(r) + "\n" for r in rows))
+        data = [r for r in rows if r[0] != "#"]  # a row led by '#' is a comment
+        try:
+            values = [[int(tok) for tok in r] for r in data]
+        except ValueError:
+            values = None
+        valid = (
+            values is not None
+            and len(data) == n_a + n_b
+            and all(len(r) == d and set(r) <= {0, 1} for r in values)
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["solve", "ov", "--in", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        if valid:
+            pair = next(
+                (
+                    (ia, ib)
+                    for ia, a in enumerate(values[:n_a])
+                    for ib, b in enumerate(values[n_a:])
+                    if not any(x and y for x, y in zip(a, b))
+                ),
+                None,
+            )
+            expected = "no-witness" if pair is None else f"witness {pair[0] + 1} {pair[1] + 1}"
+            assert (code, out) == (0, expected + "\n")
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("ovgeom: error: ") and err.count("\n") == 1
 
 
 class TestReduce:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import instances, rat_curves
+from conftest import MALFORMED_INSTANCES, instances, rat_curves
 from ovgeom.core import curve, ov_instance, point
 from ovgeom.formats import (
     FormatError,
@@ -82,6 +82,21 @@ class TestInstanceFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "token, bit", [("01", 1), ("+1", 1), ("-0", 0), ("00", 0), ("\u0661", 1)]
+    )
+    def test_int_spellings_of_bits_parse(self, token, bit):
+        # Any token int() reads as 0 or 1 is a bit, in A and in B.
+        inst = parse_instance(f"1 1 3\n1 {token} 0\n{token}\t0 1\n")
+        assert inst == ov_instance([(1, bit, 0)], [(bit, 0, 1)])
+        assert all(type(b) is int for vec in inst.a_side + inst.b_side for b in vec)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_INSTANCES)
+    def test_malformed_message(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_instance(text)
+        assert str(info.value) == message
 
 
 class TestCurveFormats:
