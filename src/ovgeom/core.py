@@ -51,14 +51,17 @@ Curve2 = tuple[Point2, ...]
 
 
 def bit_vector(bits) -> BitVector:
-    """Validate and freeze a 0/1 sequence of length >= 1."""
+    """Validate and freeze a 0/1 sequence of length >= 1.
+
+    An entry equal to 0 or 1 (``True``, ``1.0``) is stored as that int.
+    """
     vec = tuple(bits)
     if not vec:
         raise ValueError("bit vector must have length >= 1")
     for b in vec:
         if b not in (0, 1):
             raise ValueError(f"bit vector entries must be 0 or 1, got {b!r}")
-    return vec
+    return tuple(map(int, vec))
 
 
 def point(coords) -> PointD:
@@ -103,11 +106,9 @@ class OvInstance:
 
     def __post_init__(self):
         _check_shape(self.a_side, self.b_side, self.d)
-        for fam in (self.a_side, self.b_side):
-            for vec in fam:
-                for b in vec:
-                    if b not in (0, 1):
-                        raise ValueError("vector entries must be 0 or 1")
+        for name in ("a_side", "b_side"):
+            fam = tuple(bit_vector(vec) for vec in getattr(self, name))
+            object.__setattr__(self, name, fam)
 
     @classmethod
     def _from_checked(cls, a_side, b_side, d: int) -> OvInstance:

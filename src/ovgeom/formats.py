@@ -73,10 +73,12 @@ def _ints(row: list[str], n: int | None = None) -> list[int]:
     return vals
 
 
+def _comments(header: str | None) -> list[str]:
+    return [f"# {h}" for h in header.splitlines()] if header else []
+
+
 def format_instance(inst: OvInstance, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
+    lines = _comments(header)
     lines.append(f"{inst.n_a} {inst.n_b} {inst.d}")
     for vec in inst.a_side + inst.b_side:
         lines.append(" ".join(str(b) for b in vec))
@@ -121,8 +123,7 @@ def _format_curve_lines(c: Curve2) -> list[str]:
 
 
 def format_curve(c: Curve2, header: str | None = None) -> str:
-    lines = [f"# {h}" for h in header.splitlines()] if header else []
-    return "\n".join(lines + _format_curve_lines(curve(c))) + "\n"
+    return "\n".join(_comments(header) + _format_curve_lines(curve(c))) + "\n"
 
 
 def _parse_curve_rows(rows: list[list[str]], at: int) -> tuple[Curve2, int]:
@@ -153,7 +154,7 @@ def parse_curve(text: str) -> Curve2:
 
 def format_curve_set(curves, header: str | None = None) -> str:
     curves = [curve(c) for c in curves]
-    lines = [f"# {h}" for h in header.splitlines()] if header else []
+    lines = _comments(header)
     lines.append(str(len(curves)))
     for c in curves:
         lines.extend(_format_curve_lines(c))
@@ -181,7 +182,7 @@ def format_point_set(points, header: str | None = None) -> str:
     if not pts:
         raise FormatError("point set must be non-empty")
     dim = len(pts[0])
-    lines = [f"# {h}" for h in header.splitlines()] if header else []
+    lines = _comments(header)
     lines.append(f"{len(pts)} {dim}")
     for p in pts:
         if len(p) != dim:

@@ -5,11 +5,12 @@ rescaled once onto a common integer grid (multiply by the lcm of all
 coordinate denominators), after which the dynamic programs run on machine
 ints; results are mapped back to rationals exactly.
 
-The distance is handled squared end to end.  Three routes are provided:
+The distance is handled squared end to end.  ``_rows`` holds the one
+bottleneck recurrence (Eiter & Mannila 1994).  Three routes are provided:
 
-* ``frechet_sq``        -- full table, returns the value and one optimal
+* ``frechet_sq``        -- keeps every row; the value and one optimal
                            traversal (deterministic tie-breaking),
-* ``frechet_sq_value``  -- two-row table, value only, O(min memory),
+* ``frechet_sq_value``  -- keeps the last row only, O(min(n, m)) memory,
 * ``frechet_decide``    -- threshold decision as pure reachability over
                            the cells whose squared distance is within the
                            threshold (no min/max bookkeeping).
@@ -22,6 +23,7 @@ inputs beyond a configurable total vertex count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import floor
 
 from .core import Curve2, Rat, SqDist, as_integer_grid, curve, sq_dist
 
@@ -62,45 +64,48 @@ def traversal_is_valid(steps: Traversal, n: int, m: int) -> bool:
     return True
 
 
-def _int_grid_pair(p: Curve2, q: Curve2) -> tuple[list, list, int]:
-    (ip, iq), scale = as_integer_grid([p, q])
-    return ip, iq, scale
-
-
 def _dist_row(pv: tuple[int, int], qs: list[tuple[int, int]]) -> list[int]:
     px, py = pv
     return [(px - qx) ** 2 + (py - qy) ** 2 for qx, qy in qs]
 
 
-def frechet_sq(p, q) -> FrechetResult:
-    """Full dynamic program with traversal recovery.
+def _rows(ip: list[tuple[int, int]], iq: list[tuple[int, int]]):
+    """Yield the bottleneck table of two grid curves; a yielded row is final.
 
-    The table entry for (i, j) is the smallest achievable maximum squared
-    step distance over monotone walks from (0, 0) to (i, j).  Backtracking
-    prefers the diagonal predecessor, then (i-1, j), then (i, j-1), which
-    pins down one deterministic optimal traversal among ties.
+    Entry j of row i is the smallest achievable maximum squared step
+    distance over monotone walks from (0, 0) to (i, j).
     """
-    p, q = curve(p), curve(q)
-    ip, iq, scale = _int_grid_pair(p, q)
-    n, m = len(ip), len(iq)
-    dist = [_dist_row(pv, iq) for pv in ip]
-
-    table: list[list[int]] = [[0] * m for _ in range(n)]
-    row0 = table[0]
-    row0[0] = dist[0][0]
+    m = len(iq)
+    prev = _dist_row(ip[0], iq)
     for j in range(1, m):
-        row0[j] = max(row0[j - 1], dist[0][j])
-    for i in range(1, n):
-        prev, cur, drow = table[i - 1], table[i], dist[i]
-        cur[0] = max(prev[0], drow[0])
+        if prev[j] < prev[j - 1]:
+            prev[j] = prev[j - 1]
+    yield prev
+    for pv in ip[1:]:
+        cur = _dist_row(pv, iq)
+        if cur[0] < prev[0]:
+            cur[0] = prev[0]
         for j in range(1, m):
             reach = prev[j - 1]
             if prev[j] < reach:
                 reach = prev[j]
             if cur[j - 1] < reach:
                 reach = cur[j - 1]
-            dv = drow[j]
-            cur[j] = dv if dv > reach else reach
+            if cur[j] < reach:
+                cur[j] = reach
+        yield cur
+        prev = cur
+
+
+def frechet_sq(p, q) -> FrechetResult:
+    """Full dynamic program with traversal recovery.
+
+    Backtracking prefers the diagonal predecessor, then (i-1, j), then
+    (i, j-1), which pins down one deterministic optimal traversal among ties.
+    """
+    (ip, iq), scale = as_integer_grid([curve(p), curve(q)])
+    n, m = len(ip), len(iq)
+    table = list(_rows(ip, iq))
 
     steps = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
@@ -123,31 +128,19 @@ def frechet_sq(p, q) -> FrechetResult:
     return FrechetResult(Rat(table[n - 1][m - 1], scale * scale), tuple(steps))
 
 
-def frechet_sq_value(p, q) -> SqDist:
-    """Value-only dynamic program keeping two table rows."""
-    p, q = curve(p), curve(q)
-    ip, iq, scale = _int_grid_pair(p, q)
-    if len(ip) < len(iq):  # fewer rows outside, shorter row inside
+def _sq_value(p: Curve2, q: Curve2) -> SqDist:
+    """``frechet_sq_value`` of two curves already built by ``curve``."""
+    (ip, iq), scale = as_integer_grid([p, q])
+    if len(ip) < len(iq):  # the distance is symmetric: keep rows short
         ip, iq = iq, ip
-    m = len(iq)
-    prev = _dist_row(ip[0], iq)
-    for j in range(1, m):
-        if prev[j - 1] > prev[j]:
-            prev[j] = prev[j - 1]
-    for pv in ip[1:]:
-        drow = _dist_row(pv, iq)
-        cur = [0] * m
-        cur[0] = prev[0] if prev[0] > drow[0] else drow[0]
-        for j in range(1, m):
-            reach = prev[j - 1]
-            if prev[j] < reach:
-                reach = prev[j]
-            if cur[j - 1] < reach:
-                reach = cur[j - 1]
-            dv = drow[j]
-            cur[j] = dv if dv > reach else reach
-        prev = cur
-    return Rat(prev[m - 1], scale * scale)
+    for last in _rows(ip, iq):
+        pass
+    return Rat(last[-1], scale * scale)
+
+
+def frechet_sq_value(p, q) -> SqDist:
+    """Value-only dynamic program keeping one table row."""
+    return _sq_value(curve(p), curve(q))
 
 
 def frechet_decide(p, q, tau_sq) -> bool:
@@ -159,27 +152,26 @@ def frechet_decide(p, q, tau_sq) -> bool:
     """
     p, q = curve(p), curve(q)
     tau_sq = sq_dist(tau_sq)
-    ip, iq, scale = _int_grid_pair(p, q)
-    # integer threshold test: dist * den <= num  <=>  dist <= tau_sq * scale^2
-    thr = tau_sq * scale * scale
-    num, den = thr.numerator, thr.denominator
+    (ip, iq), scale = as_integer_grid([p, q])
+    # an int grid distance is <= tau_sq * scale**2 iff it is <= its floor
+    limit = floor(tau_sq * scale * scale)
     n, m = len(ip), len(iq)
 
     drow = _dist_row(ip[0], iq)
     reach = [False] * m
-    ok = drow[0] * den <= num
+    ok = drow[0] <= limit
     reach[0] = ok
     for j in range(1, m):
-        ok = ok and drow[j] * den <= num
+        ok = ok and drow[j] <= limit
         reach[j] = ok
     for i in range(1, n):
         drow = _dist_row(ip[i], iq)
         prev = reach
         reach = [False] * m
-        reach[0] = prev[0] and drow[0] * den <= num
+        reach[0] = prev[0] and drow[0] <= limit
         any_reach = reach[0]
         for j in range(1, m):
-            if (prev[j - 1] or prev[j] or reach[j - 1]) and drow[j] * den <= num:
+            if (prev[j - 1] or prev[j] or reach[j - 1]) and drow[j] <= limit:
                 reach[j] = True
                 any_reach = True
         if not any_reach:
@@ -199,7 +191,7 @@ def brute_force_frechet_sq(p, q, max_total: int = 16) -> SqDist:
         raise ValueError(
             f"oracle cap exceeded: {len(p)} + {len(q)} > {max_total} vertices"
         )
-    ip, iq, scale = _int_grid_pair(p, q)
+    (ip, iq), scale = as_integer_grid([p, q])
     n, m = len(ip), len(iq)
     dist = [_dist_row(pv, iq) for pv in ip]
     last_i, last_j = n - 1, m - 1

@@ -55,11 +55,8 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def _columns(vectors) -> list[int]:
     """Transpose: bit i of column c is set iff vectors[i][c] is 1."""
-    try:
-        # Reversed so that vectors[0] is the lowest bit of each column.
-        return [int(bytes(col)[::-1].translate(_DIGITS), 2) for col in zip(*vectors)]
-    except TypeError:  # entries equal to 0 or 1 that are not ints, e.g. 1.0
-        return _columns([tuple(map(int, vec)) for vec in vectors])
+    # Reversed so that vectors[0] is the lowest bit of each column.
+    return [int(bytes(col)[::-1].translate(_DIGITS), 2) for col in zip(*vectors)]
 
 
 def _hits(inst: OvInstance):

@@ -9,8 +9,10 @@ linear scan.  Ties are broken toward the smallest 0-based index, and
 toward the lexicographically smallest (index_p, index_q) pair for
 closest-pair scans.
 
-Curve collections use the discrete Fréchet distance via linear scan only;
-there is no spatial index for curves.
+Curve collections use the discrete Fréchet distance via one linear scan,
+``CurveScanIndex.query``, which ``bcp_frechet`` runs once per curve of P.
+Each curve pair gets its own grid: one over a whole family would grow
+with every new denominator.  There is no spatial index for curves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
-from .frechet import frechet_sq_value
+from .frechet import _sq_value
 
 __all__ = [
     "BcpResult",
@@ -100,12 +102,12 @@ def bcp_frechet(curves_p, curves_q) -> BcpResult:
     q_side = [curve(c) for c in curves_q]
     if not p_side or not q_side:
         raise ValueError("both curve families must be non-empty")
+    index = CurveScanIndex(q_side)
     best: tuple[SqDist, int, int] | None = None
     for i, p in enumerate(p_side):
-        for j, q in enumerate(q_side):
-            d = frechet_sq_value(p, q)
-            if best is None or (d, i, j) < best:
-                best = (d, i, j)
+        j, d = index.query(p)
+        if best is None or d < best[0]:  # i ascends, so ties keep the lower i
+            best = (d, i, j)
     return BcpResult(best[1], best[2], best[0])
 
 
@@ -203,7 +205,7 @@ class KdTreeIndex(LinearScanIndex):
 
 
 class CurveScanIndex:
-    """Curve index: store everything, scan by squared discrete Fréchet."""
+    """Curve index over ``core.curve`` curves, scanned by squared Fréchet."""
 
     dim = None
 
@@ -211,9 +213,9 @@ class CurveScanIndex:
         self.curves = curves
 
     def query(self, q: Curve2) -> tuple[int, SqDist]:
-        best_i, best_d = 0, frechet_sq_value(self.curves[0], q)
+        best_i, best_d = 0, _sq_value(self.curves[0], q)
         for i in range(1, len(self.curves)):
-            d = frechet_sq_value(self.curves[i], q)
+            d = _sq_value(self.curves[i], q)
             if d < best_d:
                 best_i, best_d = i, d
         return best_i, best_d

@@ -64,6 +64,41 @@ MALFORMED_INSTANCES = [
     ("1 1 2\n2 0\n1\n", "expected 2 fields, got 1: ['1']"),
 ]
 
+# Curve-set and point-set files that their parsers reject, each with its
+# exact message.  Rational tokens are Fraction literals: no nan, no inf, no
+# zero or negative denominator, and no spaces around the slash.
+MALFORMED_CURVE_SETS = [
+    ("0\n", "curve-set count must be >= 1"),
+    ("1\n-1\n0 0\n", "curve vertex count must be >= 1"),
+    ("1\n1\n0 0 0\n", "curve vertex needs 2 coordinates, got ['0', '0', '0']"),
+    ("1\n1\n1/0 0\n", "bad rational token '1/0'"),
+    ("1\n1\nnan 0\n", "bad rational token 'nan'"),
+    ("1\n1\n0 inf\n", "bad rational token 'inf'"),
+    ("1\n1\n1/-2 0\n", "bad rational token '1/-2'"),
+    ("1\n1\n1 / 2 0\n", "curve vertex needs 2 coordinates, got ['1', '/', '2', '0']"),
+    ("1 2\n1\n0 0\n", "expected 1 fields, got 2: ['1', '2']"),
+    ("2\n1\n0 0\n", "file promises more curves than it contains"),
+    ("1\n2\n0 0\n", "curve promises 2 vertices, file is short"),
+    ("1\n1\n0 0\n0 0\n", "trailing rows after curve set"),
+    ("# only a comment\n", "empty curve-set file"),
+]
+
+MALFORMED_POINT_SETS = [
+    ("0 2\n", "bad point-set header ['0', '2']"),
+    ("-1 2\n0 0\n", "bad point-set header ['-1', '2']"),
+    ("1 0\n0\n", "bad point-set header ['1', '0']"),
+    ("1 2 3\n0 0\n", "expected 2 fields, got 3: ['1', '2', '3']"),
+    ("1 2\n1/0 0\n", "bad rational token '1/0'"),
+    ("1 2\nnan 0\n", "bad rational token 'nan'"),
+    ("1 2\n0 inf\n", "bad rational token 'inf'"),
+    ("1 2\n1/-2 0\n", "bad rational token '1/-2'"),
+    ("1 2\n1 / 2\n", "point row needs 2 coordinates, got ['1', '/', '2']"),
+    ("1 2\n0\n", "point row needs 2 coordinates, got ['0']"),
+    ("2 2\n0 0\n", "point set promises 2 rows, has 1"),
+    ("1 2\n0 0\n1 1\n", "point set promises 1 rows, has 2"),
+    ("# only a comment\n", "empty point-set file"),
+]
+
 small_coord = st.integers(-8, 8)
 
 rational_coord = st.fractions(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_INSTANCES
+from conftest import MALFORMED_CURVE_SETS, MALFORMED_INSTANCES, MALFORMED_POINT_SETS
 from ovgeom import __version__
 from ovgeom.cli import main
 from ovgeom.formats import (
@@ -139,6 +139,30 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "ov", "--in", str(path))
         assert (code, out, err) == (2, "", f"ovgeom: error: {message}\n")
 
+    @pytest.mark.parametrize("text, message", MALFORMED_CURVE_SETS)
+    def test_malformed_curve_set_exits_two(self, tmp_path, capsys, text, message):
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_text(text)
+        good.write_text("1\n1\n0 0\n")
+        for args in (
+            ("frechet", "--in", bad),
+            ("bcp-frechet", "--in-p", bad, "--in-q", good),
+            ("bcp-frechet", "--in-p", good, "--in-q", bad),
+        ):
+            code, out, err = run_cli(capsys, "solve", *map(str, args))
+            assert (code, out, err) == (2, "", f"ovgeom: error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", MALFORMED_POINT_SETS)
+    def test_malformed_point_set_exits_two(self, tmp_path, capsys, text, message):
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_text(text)
+        good.write_text("1 2\n0 0\n")
+        for p, q in ((bad, good), (good, bad)):
+            code, out, err = run_cli(
+                capsys, "solve", "bcp-euclid", "--in-p", str(p), "--in-q", str(q)
+            )
+            assert (code, out, err) == (2, "", f"ovgeom: error: {message}\n")
+
     def test_wrong_file_shape_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "pts.txt"
         path.write_text("2 2\n0/1 0/1\n1/1 1/1\n")
@@ -151,6 +175,26 @@ BIT_SPELLINGS = ["0", "1", "01", "+1", "-0"]
 HOSTILE_TOKENS = ["2", "-1", "x", "1.0", "1_0", "#"]
 
 
+def edit_rows(draw, rows, hostile, new_row):
+    """Up to two in-place edits of a file's token rows: a token from
+    ``hostile``, a row one token wider or narrower, a row more or fewer."""
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["token", "wider", "narrower", "more", "fewer"]))
+        at = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        if edit == "token" and rows:
+            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(
+                st.sampled_from(hostile)
+            )
+        elif edit == "wider" and rows:
+            rows[at].append("1")
+        elif edit == "narrower" and rows and len(rows[at]) > 1:
+            rows[at].pop()
+        elif edit == "more":
+            rows.insert(at, draw(new_row))
+        elif edit == "fewer" and rows:
+            rows.pop(at)
+
+
 @st.composite
 def instance_files(draw):
     """A well-formed instance file of bit spellings, then up to two edits:
@@ -158,21 +202,7 @@ def instance_files(draw):
     n_a, n_b, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     row = st.lists(st.sampled_from(BIT_SPELLINGS), min_size=d, max_size=d)
     rows = draw(st.lists(row, min_size=n_a + n_b, max_size=n_a + n_b))
-    for _ in range(draw(st.integers(0, 2))):
-        edit = draw(st.sampled_from(["token", "wider", "narrower", "more", "fewer"]))
-        at = draw(st.integers(0, len(rows) - 1)) if rows else 0
-        if edit == "token" and rows:
-            rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(
-                st.sampled_from(HOSTILE_TOKENS)
-            )
-        elif edit == "wider" and rows:
-            rows[at].append("1")
-        elif edit == "narrower" and rows and len(rows[at]) > 1:
-            rows[at].pop()
-        elif edit == "more":
-            rows.insert(at, draw(row))
-        elif edit == "fewer" and rows:
-            rows.pop(at)
+    edit_rows(draw, rows, HOSTILE_TOKENS, row)
     return n_a, n_b, d, rows
 
 
@@ -211,6 +241,53 @@ class TestSolveOvFuzz:
             )
             expected = "no-witness" if pair is None else f"witness {pair[0] + 1} {pair[1] + 1}"
             assert (code, out) == (0, expected + "\n")
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("ovgeom: error: ") and err.count("\n") == 1
+
+
+HOSTILE_RATS = ["x", "1/0", "nan", "inf", "1/-2", "/", "-1", "0", "3/2", "#"]
+
+
+@st.composite
+def set_files(draw):
+    """A bcp problem and a well-formed file for it (a curve set for
+    bcp-frechet, a point set for bcp-euclid), then up to two edits: a
+    hostile token, a row one token wider or narrower, a row more or fewer."""
+    problem = draw(st.sampled_from(["bcp-frechet", "bcp-euclid"]))
+    coord = st.integers(-3, 3).map(str)
+    if problem == "bcp-frechet":
+        vertex = st.lists(coord, min_size=2, max_size=2)
+        curve = st.lists(vertex, min_size=1, max_size=3)
+        curves = draw(st.lists(curve, min_size=1, max_size=3))
+        rows = [[str(len(curves))]]
+        for c in curves:
+            rows += [[str(len(c))]] + c
+    else:
+        dim = draw(st.integers(1, 3))
+        point = st.lists(coord, min_size=dim, max_size=dim)
+        points = draw(st.lists(point, min_size=1, max_size=4))
+        rows = [[str(len(points)), str(dim)]] + points
+    edit_rows(draw, rows, HOSTILE_RATS, st.lists(coord, min_size=1, max_size=3))
+    return problem, "".join(" ".join(r) + "\n" for r in rows)
+
+
+class TestSolveSetFuzz:
+    """Edited curve-set and point-set files, given as both sides of a bcp
+    solve: exit 0 with the pair (1, 1) at distance 0, or exit 2 with a
+    one-line error."""
+
+    @given(set_files())
+    def test_exit_zero_or_two(self, tmp_path_factory, file):
+        problem, text = file
+        path = tmp_path_factory.mktemp("fuzz") / "s.txt"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["solve", problem, "--in-p", str(path), "--in-q", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert (out, err) == ("pair 1 1 sq 0/1\n", "")
         else:
             assert code == 2 and out == ""
             assert err.startswith("ovgeom: error: ") and err.count("\n") == 1

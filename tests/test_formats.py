@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_INSTANCES, instances, rat_curves
-from ovgeom.core import curve, ov_instance, point
+from conftest import (
+    MALFORMED_CURVE_SETS,
+    MALFORMED_INSTANCES,
+    MALFORMED_POINT_SETS,
+    instances,
+    rat_curves,
+)
+from ovgeom.core import OvInstance, curve, ov_instance, point
 from ovgeom.formats import (
     FormatError,
     format_curve,
@@ -64,6 +70,15 @@ class TestInstanceFormat:
     @given(instances(max_n=6, max_d=6))
     def test_round_trip_exact(self, inst):
         assert parse_instance(format_instance(inst)) == inst
+
+    def test_round_trip_of_bits_given_as_other_types(self):
+        # Any value equal to 0 or 1 is accepted and stored, and so written, as an int.
+        for inst in (
+            ov_instance([(1.0, True)], [(0, Fraction(1))]),
+            OvInstance(((1.0, True),), ((False, Fraction(1)),), 2),
+        ):
+            assert format_instance(inst) == "1 1 2\n1 1\n0 1\n"
+            assert parse_instance(format_instance(inst)) == inst
 
     @pytest.mark.parametrize(
         "text",
@@ -131,6 +146,12 @@ class TestCurveFormats:
         assert text.startswith("# two lines\n# of notes\n1\n")
         assert parse_curve_set(text) == (((Fraction(0), Fraction(0)),),)
 
+    @pytest.mark.parametrize("text, message", MALFORMED_CURVE_SETS)
+    def test_curve_set_malformed_message(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_curve_set(text)
+        assert str(info.value) == message
+
     def test_curve_set_rejects_wrong_count(self):
         with pytest.raises(FormatError, match="trailing"):
             parse_curve_set("1\n1\n0/1 0/1\n1\n0/1 0/1\n")
@@ -169,6 +190,12 @@ class TestPointSetFormat:
             parse_point_set("2 2\n1/1 2/1\n")
         with pytest.raises(FormatError, match="empty"):
             parse_point_set("# nothing\n")
+
+    @pytest.mark.parametrize("text, message", MALFORMED_POINT_SETS)
+    def test_malformed_message(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_point_set(text)
+        assert str(info.value) == message
 
 
 class TestFileIo:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from conftest import instances, int_points, rational_coord, small_coord
 from ovgeom.core import curve, point, squared_euclidean
 from ovgeom.embed import embed_euclid, embed_frechet
-from ovgeom.frechet import brute_force_frechet_sq
+from ovgeom.frechet import (
+    brute_force_frechet_sq,
+    frechet_sq,
+    frechet_sq_value,
+    traversal_is_valid,
+)
 from ovgeom.generate import GenSpec, generate
 from ovgeom.proximity import (
     BcpResult,
@@ -319,3 +324,65 @@ class TestIntegerKernelsAgainstFractionReference:
         pts = [(2, 7, 1), (0, 7, 1), (0, 7, 1), (2, 7, 1)] * 5
         assert_bcp_matches_reference(pts, [(1, 7, 1), (0, 7, 1)])
         assert_nn_matches_reference(pts, [(1, 7, 1), (0, 7, 1), (2, 0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the Fréchet kernels against the enumeration oracle.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hostile_curve_families(draw):
+    """Two curve families of 1 to 4 curves each, drawn from one small pool
+    of 1- to 4-vertex curves, so duplicates and |P| != |Q| are common."""
+    vertex = st.tuples(hostile_coord, hostile_coord)
+    pool = draw(st.lists(st.lists(vertex, min_size=1, max_size=4), min_size=1, max_size=4))
+    family = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    return draw(family), draw(family)
+
+
+def assert_frechet_kernels_match_reference(ps, qs):
+    """bcp_frechet, a frechet-linear index and both dynamic programs agree
+    with brute_force_frechet_sq, ties going to the lowest index."""
+    res = bcp_frechet(ps, qs)
+    assert type(res.sq_value) is Fraction
+    want = naive_bcp(ps, qs, brute_force_frechet_sq)
+    assert (res.sq_value, res.index_p, res.index_q) == want
+    index = nn_build(ps, "frechet-linear")
+    for q in qs:
+        pos, sq = nn_query(index, q)
+        assert (sq, pos) == min((brute_force_frechet_sq(p, q), i) for i, p in enumerate(ps))
+    for p in ps:
+        for q in qs:
+            want = brute_force_frechet_sq(p, q)
+            full, value = frechet_sq(p, q), frechet_sq_value(p, q)
+            assert type(value) is Fraction
+            assert full.sq_value == value == want
+            assert traversal_is_valid(full.traversal, len(p), len(q))
+            assert max(frac_sq(p[i], q[j]) for i, j in full.traversal) == want
+
+
+class TestFrechetKernelsAgainstEnumeration:
+    @given(hostile_curve_families())
+    def test_on_hostile_families(self, fams):
+        assert_frechet_kernels_match_reference(*fams)
+
+    def test_coprime_denominators(self):
+        a, b = Fraction(1, 999983), Fraction(1, 1000003)
+        ps = [((a, 0), (1, b)), ((-b, a),), ((0, 0), (a, -a), (b, b))]
+        qs = [((b, -a), (1, 0)), ((a, 0), (1, b), (1, b), (-a, -b))]
+        assert_frechet_kernels_match_reference(ps, qs)
+
+    def test_duplicate_curves_tie_to_lowest_index(self):
+        c = ((0, 0), (Fraction(1, 999983), 2), (3, 0))
+        ps = [((9, 9),), c, c, c]
+        qs = [((-9, -9), (9, -9)), c, c]
+        assert bcp_frechet(ps, qs) == BcpResult(1, 1, Fraction(0))
+        assert nn_query(nn_build(ps, "frechet-linear"), c) == (1, 0)
+        assert_frechet_kernels_match_reference(ps, qs)
+
+    def test_single_vertex_curves_with_negative_coordinates(self):
+        ps = [((-3, -4),), ((-1, Fraction(-1, 2)), (-7, 2)), ((-5, 0),)]
+        qs = [((0, 0),), ((-3, -4), (-3, -4), (Fraction(-5, 3), -5), (0, -1))]
+        assert_frechet_kernels_match_reference(ps, qs)
+        assert_frechet_kernels_match_reference(qs, ps)
