@@ -13,9 +13,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import Curve2, curve, point
+from .core import Curve2, Rat, curve, point
 from .embed import embed_euclid, embed_frechet
 from .formats import format_rat
 from .frechet import frechet_sq_value
@@ -23,7 +22,7 @@ from .generate import GenSpec, generate
 from .ov import ov_decide
 from .proximity import bcp_euclid, bcp_frechet, nn_build, nn_query
 
-__all__ = ["CSV_HEADER", "PROBLEMS", "BenchRecord", "bench_csv", "run_bench"]
+__all__ = ["PROBLEMS", "BenchRecord", "bench_csv", "run_bench"]
 
 PROBLEMS = ("ov", "ov-none", "bcp-euclid", "bcp-frechet", "frechet-pair", "nn-query")
 
@@ -49,7 +48,7 @@ def _walk_curve(rng: random.Random, n: int) -> Curve2:
     x, y = 0, 0
     verts = []
     for _ in range(n):
-        verts.append((Fraction(x), Fraction(y)))
+        verts.append((Rat(x), Rat(y)))
         x += rng.randint(-3, 3)
         y += rng.randint(-3, 3)
     return curve(verts)

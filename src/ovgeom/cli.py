@@ -40,22 +40,13 @@ _SOLVE_PROBLEMS = ("ov", "frechet", "bcp-euclid", "bcp-frechet")
 _REDUCE_KINDS = ("euclid", "frechet", "or-gadget")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--out", help="output file (default: standard output)")
-    common.add_argument(
-        "--format",
-        choices=("text", "csv"),
-        default=None,
-        help="report format where a verb supports both (verify); "
-        "bench always emits CSV",
-    )
-    return common
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    # Each verb takes only the flags its handler reads: --out everywhere,
+    # --seed where a PRNG is drawn from, --format on verify.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: standard output)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     parser = argparse.ArgumentParser(
         prog="ovgeom",
         description="Exact geometric reductions from orthogonal-vectors "
@@ -64,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ovgeom {__version__}")
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    gen = subs.add_parser("gen", parents=[common], help="generate a random instance")
+    gen = subs.add_parser("gen", parents=[seeded], help="generate a random instance")
     gen.add_argument("--family", choices=FAMILIES, default="uniform-random")
     gen.add_argument("--n", type=int, required=True, help="instance size")
     gen.add_argument("--d", type=int, required=True, help="vector dimension")
@@ -72,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alpha", default=None, help="rational in (0,1); only for family=unbalanced"
     )
 
-    solve = subs.add_parser("solve", parents=[common], help="solve a problem file")
+    solve = subs.add_parser("solve", parents=[out], help="solve a problem file")
     solve.add_argument("problem", choices=_SOLVE_PROBLEMS)
     solve.add_argument("--in", dest="in_file", help="instance or curve-set file")
     solve.add_argument("--in-p", dest="in_p", help="first set file (bcp problems)")
@@ -82,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     reduce_p = subs.add_parser(
-        "reduce", parents=[common], help="transform an instance into geometry files"
+        "reduce", parents=[out], help="transform an instance into geometry files"
     )
     reduce_p.add_argument("--kind", choices=_REDUCE_KINDS, required=True)
     reduce_p.add_argument("--in", dest="in_file", required=True, help="instance file")
@@ -91,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     verify = subs.add_parser(
-        "verify", parents=[common], help="sweep reductions against the oracle"
+        "verify", parents=[seeded], help="sweep reductions against the oracle"
     )
     verify.add_argument(
         "--kinds",
@@ -101,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--max-n", type=int, default=8, help="max side size per trial")
     verify.add_argument("--max-d", type=int, default=6, help="max dimension per trial")
+    verify.add_argument("--format", choices=("text", "csv"), default="text")
     verify.add_argument(
         "--corrupt-kind",
         default=None,
@@ -109,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     bench = subs.add_parser(
-        "bench", parents=[common], help="time a problem across sizes, emit CSV"
+        "bench", parents=[seeded], help="time a problem across sizes, emit CSV"
     )
     bench.add_argument("--problem", choices=PROBLEMS, required=True)
     bench.add_argument(

@@ -32,12 +32,10 @@ __all__ = [
     "Curve2",
     "OvInstance",
     "ov_instance",
-    "bit_vector",
     "point",
     "curve",
     "inner_product",
     "squared_euclidean",
-    "sq_dist",
     "as_integer_grid",
 ]
 

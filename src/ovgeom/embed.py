@@ -39,11 +39,7 @@ from .core import (
 __all__ = [
     "EuclidEmbedding",
     "FrechetEmbedding",
-    "embed_point_a",
-    "embed_point_b",
     "embed_euclid",
-    "embed_curve_a",
-    "embed_curve_b",
     "embed_frechet",
 ]
 

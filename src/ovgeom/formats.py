@@ -3,7 +3,9 @@
 All formats are line-oriented ASCII.  Lines starting with '#' and blank
 lines are comments and are skipped by every parser; writers may put
 reproducibility notes there.  Rationals are serialized as ``num/den`` in
-lowest terms (parsers also accept bare integers).  Counts on header lines
+lowest terms.  A rational token is ``[+-]?[0-9]+`` or
+``[+-]?[0-9]+/[0-9]+`` in ASCII digits, with a nonzero denominator; no
+decimal point, exponent, underscore or other form.  Counts on header lines
 describe how many rows follow; positions within files are 1-based when a
 human needs to point at them, but nothing in the formats stores indices.
 
@@ -16,7 +18,7 @@ Point-set file:     line 1: ``count dim``; then one point per line.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
 from .core import Curve2, OvInstance, PointD, Rat, curve, point
 
@@ -42,15 +44,21 @@ class FormatError(ValueError):
 
 
 def format_rat(r: Rat) -> str:
-    r = Fraction(r)
+    r = Rat(r)
     return f"{r.numerator}/{r.denominator}"
 
 
+# The whole rational grammar: an ASCII integer, optionally over a nonzero
+# ASCII natural number.
+_RAT = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def parse_rat(token: str) -> Rat:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational token {token!r}") from exc
+    m = _RAT.fullmatch(token)
+    if m is None:
+        raise FormatError(f"bad rational token {token!r}")
+    num, den = m.groups()
+    return Rat(int(num), int(den)) if den else Rat(int(num))
 
 
 def _data_lines(text: str) -> list[list[str]]:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 from random import Random
 
 from .core import BitVector, Curve2, OvInstance, Rat, SqDist
@@ -184,14 +185,8 @@ def _exhaustive_instances(max_n: int, max_d: int):
         vecs = [tuple((v >> k) & 1 for k in range(d)) for v in range(2 ** d)]
         for n_a in range(1, max_n + 1):
             for n_b in range(1, max_n + 1):
-                stack_a = [()]
-                for _ in range(n_a):
-                    stack_a = [s + (v,) for s in stack_a for v in vecs]
-                stack_b = [()]
-                for _ in range(n_b):
-                    stack_b = [s + (v,) for s in stack_b for v in vecs]
-                for fam_a in stack_a:
-                    for fam_b in stack_b:
+                for fam_a in product(vecs, repeat=n_a):
+                    for fam_b in product(vecs, repeat=n_b):
                         yield OvInstance._from_checked(fam_a, fam_b, d)
 
 

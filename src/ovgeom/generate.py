@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import OvInstance, Rat, ov_instance
 from .ov import OvWitness, nth_root_ceil, ov_count
@@ -54,8 +53,8 @@ class GenSpec:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.family == "unbalanced":
-            alpha = self.alpha if self.alpha is not None else Fraction(1, 2)
-            alpha = Fraction(alpha)
+            alpha = self.alpha if self.alpha is not None else Rat(1, 2)
+            alpha = Rat(alpha)
             if not 0 < alpha < 1:
                 raise ValueError(f"alpha must be in (0, 1), got {alpha}")
             object.__setattr__(self, "alpha", alpha)

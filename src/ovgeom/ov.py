@@ -23,12 +23,11 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Rat
 from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .core import OvInstance
+from .core import OvInstance, Rat
 
 __all__ = [
     "OvWitness",

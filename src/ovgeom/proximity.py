@@ -25,7 +25,6 @@ from .frechet import _sq_value
 
 __all__ = [
     "BcpResult",
-    "NnIndex",
     "LinearScanIndex",
     "KdTreeIndex",
     "CurveScanIndex",

@@ -37,19 +37,9 @@ __all__ = [
     "ReductionReport",
     "VerifyCaps",
     "agreement_table",
-    "instance_id",
-    "report_csv",
     "run_verify",
     "verify_reduction",
 ]
-
-KINDS = (
-    "euclid-embed",
-    "ov-to-bcp",
-    "frechet-embed",
-    "ov-to-frechet",
-    "unbalanced-nn",
-)
 
 _VERIFY_FAMILIES = ("uniform-random", "planted-orthogonal", "no-orthogonal")
 
@@ -136,6 +126,7 @@ _SOLVERS = {
     "ov-to-frechet": _solve_or_gadget,
     "unbalanced-nn": _solve_unbalanced_nn,
 }
+KINDS = tuple(_SOLVERS)
 
 
 def verify_reduction(

@@ -65,8 +65,9 @@ MALFORMED_INSTANCES = [
 ]
 
 # Curve-set and point-set files that their parsers reject, each with its
-# exact message.  Rational tokens are Fraction literals: no nan, no inf, no
-# zero or negative denominator, and no spaces around the slash.
+# exact message.  A rational token is [+-]?[0-9]+ or [+-]?[0-9]+/[0-9]+ with
+# a nonzero denominator: no nan, inf, decimal point, exponent, underscore,
+# non-ASCII digit, negative denominator or spaces around the slash.
 MALFORMED_CURVE_SETS = [
     ("0\n", "curve-set count must be >= 1"),
     ("1\n-1\n0 0\n", "curve vertex count must be >= 1"),
@@ -81,6 +82,10 @@ MALFORMED_CURVE_SETS = [
     ("1\n2\n0 0\n", "curve promises 2 vertices, file is short"),
     ("1\n1\n0 0\n0 0\n", "trailing rows after curve set"),
     ("# only a comment\n", "empty curve-set file"),
+    ("1\n1\n1e3 0\n", "bad rational token '1e3'"),
+    ("1\n1\n0 0.5\n", "bad rational token '0.5'"),
+    ("1\n1\n1_000 0\n", "bad rational token '1_000'"),
+    ("1\n1\n0 \u0661\n", "bad rational token '\u0661'"),
 ]
 
 MALFORMED_POINT_SETS = [
@@ -97,6 +102,10 @@ MALFORMED_POINT_SETS = [
     ("2 2\n0 0\n", "point set promises 2 rows, has 1"),
     ("1 2\n0 0\n1 1\n", "point set promises 1 rows, has 2"),
     ("# only a comment\n", "empty point-set file"),
+    ("1 2\n1e3 0\n", "bad rational token '1e3'"),
+    ("1 2\n0 0.5\n", "bad rational token '0.5'"),
+    ("1 2\n1_000 0\n", "bad rational token '1_000'"),
+    ("1 2\n0 \u0661\n", "bad rational token '\u0661'"),
 ]
 
 small_coord = st.integers(-8, 8)

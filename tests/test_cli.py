@@ -120,6 +120,18 @@ class TestSolve:
         )
         assert (code, out) == (0, "no\n")
 
+    @pytest.mark.parametrize("tau_sq", ["0.5", "1e3", "1/0"])
+    def test_tau_sq_outside_the_rational_grammar_exits_two(
+        self, tmp_path, capsys, tau_sq
+    ):
+        path = tmp_path / "c.txt"
+        path.write_text("2\n1\n0 0\n1\n0 1\n")
+        code, out, err = run_cli(
+            capsys, "solve", "frechet", "--in", str(path), "--tau-sq", tau_sq
+        )
+        assert (code, out) == (2, "")
+        assert err == f"ovgeom: error: bad rational token {tau_sq!r}\n"
+
     def test_frechet_needs_exactly_two_curves(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("1\n1\n0 0\n")
@@ -462,6 +474,27 @@ class TestBench:
         )
         assert code == 2
         assert "--sizes" in err
+
+
+class TestFlagsPerVerb:
+    """Each verb accepts only the flags its handler reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "ov", "--in", "f", "--seed", "1"],
+            ["reduce", "--kind", "euclid", "--in", "f", "--out-prefix", "p",
+             "--seed", "1"],
+            ["gen", "--n", "2", "--d", "2", "--format", "csv"],
+            ["solve", "ov", "--in", "f", "--format", "csv"],
+            ["bench", "--problem", "ov", "--sizes", "2", "--format", "csv"],
+        ],
+    )
+    def test_flag_a_verb_does_not_read_is_argparse_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTopLevel:

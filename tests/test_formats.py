@@ -41,8 +41,11 @@ class TestRatTokens:
     def test_parse_accepts_bare_integers(self):
         assert parse_rat("3") == 3
         assert parse_rat("-7/4") == Fraction(-7, 4)
+        assert parse_rat("+06/04") == Fraction(3, 2)
 
-    @pytest.mark.parametrize("token", ["abc", "1/0", "1.5.2", ""])
+    @pytest.mark.parametrize(
+        "token", ["abc", "1/0", "1.5.2", "", "1e3", "0.5", "1_000", "\u0661"]
+    )
     def test_parse_rejects_garbage(self, token):
         with pytest.raises(FormatError, match="rational"):
             parse_rat(token)

@@ -1,0 +1,46 @@
+"""Smoke tests for the scripts under ``scripts/``, run as subprocesses."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from ovgeom.bench import PROBLEMS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_scaling_experiment_quick_writes_one_summary_row_per_size(tmp_path):
+    proc = run_script(
+        "scaling_experiment.py", "--quick", "--repeats", "1", "--out-dir", str(tmp_path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rows = {(r["problem"], r["n"]) for r in summary["rows"]}
+    # the quick plan runs two sizes of every bench problem
+    assert len(rows) == len(summary["rows"]) == 2 * len(PROBLEMS)
+    assert {p for p, _ in rows} == set(PROBLEMS)
+    for problem, _ in rows:
+        assert (tmp_path / f"{problem}.csv").exists()
+
+
+def test_gadget_delta_sweep_certifies_a_quarter_and_fails_two_thirds():
+    proc = run_script("gadget_delta_sweep.py", "--deltas", "1/4,2/3", "--trials", "8")
+    assert proc.returncode == 1, proc.stderr
+    verdicts = [line.split()[:2] for line in proc.stdout.splitlines()
+                if line.startswith("delta=")]
+    assert verdicts == [["delta=1/4", "CERTIFIED"], ["delta=2/3", "FAILED"]]
