@@ -22,9 +22,8 @@ Example:
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
-from ovgeom.formats import format_instance
+from ovgeom.formats import FormatError, format_instance, parse_rat
 from ovgeom.gadgets import GadgetConfig, validate_gadget_config
 
 
@@ -38,10 +37,13 @@ def main() -> int:
     ap.add_argument("--max-d", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        deltas = [(tok, parse_rat(tok)) for tok in args.deltas.split(",")]
+    except FormatError as exc:
+        ap.error(f"--deltas: {exc}")
 
     any_bad = False
-    for tok in args.deltas.split(","):
-        delta = Fraction(tok)
+    for tok, delta in deltas:
         try:
             cfg = GadgetConfig(delta)
         except ValueError as exc:

@@ -3,8 +3,9 @@
 All formats are line-oriented ASCII.  Lines starting with '#' and blank
 lines are comments and are skipped by every parser; writers may put
 reproducibility notes there.  Rationals are serialized as ``num/den`` in
-lowest terms.  A rational token is ``[+-]?[0-9]+`` or
-``[+-]?[0-9]+/[0-9]+`` in ASCII digits, with a nonzero denominator; no
+lowest terms.  An integer token (a count or a bit) is ``[+-]?[0-9]+`` in
+ASCII digits; a rational token is an integer token or
+``[+-]?[0-9]+/[0-9]+``, with a nonzero denominator.  No token takes a
 decimal point, exponent, underscore or other form.  Counts on header lines
 describe how many rows follow; positions within files are 1-based when a
 human needs to point at them, but nothing in the formats stores indices.
@@ -48,9 +49,10 @@ def format_rat(r: Rat) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-# The whole rational grammar: an ASCII integer, optionally over a nonzero
-# ASCII natural number.
-_RAT = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+# The whole integer grammar, and the whole rational grammar: an ASCII
+# integer, optionally over a nonzero ASCII natural number.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_RAT = re.compile(rf"({_INT_TOKEN.pattern})(?:/(0*[1-9][0-9]*))?")
 
 
 def parse_rat(token: str) -> Rat:
@@ -72,10 +74,9 @@ def _data_lines(text: str) -> list[list[str]]:
 
 
 def _ints(row: list[str], n: int | None = None) -> list[int]:
-    try:
-        vals = [int(tok) for tok in row]
-    except ValueError as exc:
-        raise FormatError(f"expected integers, got {row!r}") from exc
+    if not all(map(_INT_TOKEN.fullmatch, row)):
+        raise FormatError(f"expected integers, got {row!r}")
+    vals = [int(tok) for tok in row]
     if n is not None and len(vals) != n:
         raise FormatError(f"expected {n} fields, got {len(vals)}: {row!r}")
     return vals
@@ -112,9 +113,9 @@ def parse_instance(text: str) -> OvInstance:
     except KeyError:  # a token other than exactly "0" or "1"
         vecs = None
     if vecs is None or any(len(vec) != d for vec in vecs):
-        # Fall back to int() on every token, so "01" or "+1" are bits too.
-        # Every row is converted before any bit is checked; that order
-        # fixes which error a file with several faults reports.
+        # Fall back to the integer grammar on every token, so "01" or "+1"
+        # are bits too.  Every row is converted before any bit is checked;
+        # that order fixes which error a file with several faults reports.
         vecs = [_ints(row, d) for row in rows[1:]]
         for row in vecs:
             for b in row:

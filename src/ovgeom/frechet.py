@@ -11,9 +11,9 @@ bottleneck recurrence (Eiter & Mannila 1994).  Three routes are provided:
 * ``frechet_sq``        -- keeps every row; the value and one optimal
                            traversal (deterministic tie-breaking),
 * ``frechet_sq_value``  -- keeps the last row only, O(min(n, m)) memory,
-* ``frechet_decide``    -- threshold decision as pure reachability over
-                           the cells whose squared distance is within the
-                           threshold (no min/max bookkeeping).
+* ``frechet_decide``    -- threshold decision as reachability on bit rows:
+                           one big-int row per vertex of p, filled by
+                           addition over the mask of in-threshold cells.
 
 ``brute_force_frechet_sq`` enumerates every monotone traversal and is the
 reference oracle for the dynamic programs; it is exponential and refuses
@@ -146,37 +146,33 @@ def frechet_sq_value(p, q) -> SqDist:
 def frechet_decide(p, q, tau_sq) -> bool:
     """Is the squared discrete Fréchet distance at most tau_sq?
 
-    Implemented as reachability over the grid cells whose squared vertex
-    distance is within the threshold; a row with no reachable cell ends
-    the walk early.
+    Reachability over the cells whose squared vertex distance is within the
+    threshold, one big-int row per vertex of p: bit j of a row stands for
+    cell (i, j).  Within a run of in-threshold cells a walk only moves right,
+    so one addition carries the lowest entry point of each run to its end
+    (the bit-vector idea of Myers, JACM 1999).  A row with no entry point
+    ends the walk early.
     """
     p, q = curve(p), curve(q)
     tau_sq = sq_dist(tau_sq)
     (ip, iq), scale = as_integer_grid([p, q])
     # an int grid distance is <= tau_sq * scale**2 iff it is <= its floor
     limit = floor(tau_sq * scale * scale)
-    n, m = len(ip), len(iq)
-
-    drow = _dist_row(ip[0], iq)
-    reach = [False] * m
-    ok = drow[0] <= limit
-    reach[0] = ok
-    for j in range(1, m):
-        ok = ok and drow[j] <= limit
-        reach[j] = ok
-    for i in range(1, n):
-        drow = _dist_row(ip[i], iq)
-        prev = reach
-        reach = [False] * m
-        reach[0] = prev[0] and drow[0] <= limit
-        any_reach = reach[0]
-        for j in range(1, m):
-            if (prev[j - 1] or prev[j] or reach[j - 1]) and drow[j] <= limit:
-                reach[j] = True
-                any_reach = True
-        if not any_reach:
+    rq = iq[::-1]  # the mask string's last character is bit 0, vertex 0 of q
+    oks: dict[tuple[int, int], int] = {}  # in-threshold mask per distinct vertex
+    seed = 1
+    for pv in ip:
+        ok = oks.get(pv)
+        if ok is None:
+            ok = oks[pv] = int(
+                "".join(["1" if d <= limit else "0" for d in _dist_row(pv, rq)]), 2
+            )
+        seed &= ok
+        if not seed:
             return False
-    return reach[m - 1]
+        reach = ok & ((ok ^ (ok + seed)) | seed)
+        seed = reach | reach << 1
+    return bool(reach >> (len(iq) - 1) & 1)
 
 
 def brute_force_frechet_sq(p, q, max_total: int = 16) -> SqDist:

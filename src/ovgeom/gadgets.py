@@ -59,7 +59,7 @@ of s and t, so the instance A = {1}, B = {0, 1} decides a false no.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from random import Random
 
@@ -231,14 +231,10 @@ def validate_gadget_config(
     return GadgetValidation(True, replace(cfg, validated=True), None)
 
 
-@lru_cache(maxsize=None)
-def _default_config_cached() -> GadgetConfig:
+@cache
+def default_gadget_config() -> GadgetConfig:
+    """Certified delta=1/4 configuration (certification runs once, cached)."""
     result = validate_gadget_config(GadgetConfig(Rat(1, 4)))
     if not result.ok:  # pragma: no cover - delta=1/4 is certified by tests
         raise RuntimeError("default delta=1/4 failed certification")
     return result.config
-
-
-def default_gadget_config() -> GadgetConfig:
-    """Certified delta=1/4 configuration (certification runs once, cached)."""
-    return _default_config_cached()

@@ -47,12 +47,14 @@ def instances(max_n: int = 5, max_d: int = 5):
 
 
 # Instance files that parse_instance rejects, each with its exact message.
-# Every row is converted with int() before any bit is checked, so a
-# non-integer or wrong-width row wins over an earlier non-bit entry.
+# Every row is read as integer tokens ([+-]?[0-9]+ in ASCII digits) before
+# any bit is checked, so a non-integer or wrong-width row wins over an
+# earlier non-bit entry.
 MALFORMED_INSTANCES = [
     ("1 1 2\n1 2\n0 1\n", "instance entries must be bits, got 2"),
     ("1 1 1\n-1\n0\n", "instance entries must be bits, got -1"),
-    ("1 1 1\n1_0\n0\n", "instance entries must be bits, got 10"),
+    ("1 1 1\n1_0\n0\n", "expected integers, got ['1_0']"),
+    ("1 1 1\n\u0661\n0\n", "expected integers, got ['\u0661']"),
     ("1 1 1\nx\n0\n", "expected integers, got ['x']"),
     ("1 1 1\n1.0\n0\n", "expected integers, got ['1.0']"),
     ("1 1 2\n1\n0 1\n", "expected 2 fields, got 1: ['1']"),
@@ -82,6 +84,7 @@ MALFORMED_CURVE_SETS = [
     ("1\n2\n0 0\n", "curve promises 2 vertices, file is short"),
     ("1\n1\n0 0\n0 0\n", "trailing rows after curve set"),
     ("# only a comment\n", "empty curve-set file"),
+    ("1_0\n1\n0 0\n", "expected integers, got ['1_0']"),
     ("1\n1\n1e3 0\n", "bad rational token '1e3'"),
     ("1\n1\n0 0.5\n", "bad rational token '0.5'"),
     ("1\n1\n1_000 0\n", "bad rational token '1_000'"),
@@ -102,6 +105,7 @@ MALFORMED_POINT_SETS = [
     ("2 2\n0 0\n", "point set promises 2 rows, has 1"),
     ("1 2\n0 0\n1 1\n", "point set promises 1 rows, has 2"),
     ("# only a comment\n", "empty point-set file"),
+    ("1_0 2\n0 0\n", "expected integers, got ['1_0', '2']"),
     ("1 2\n1e3 0\n", "bad rational token '1e3'"),
     ("1 2\n0 0.5\n", "bad rational token '0.5'"),
     ("1 2\n1_000 0\n", "bad rational token '1_000'"),

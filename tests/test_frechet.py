@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rational_coord, small_coord
-from ovgeom.core import curve, squared_euclidean
+from ovgeom.core import as_integer_grid, curve, squared_euclidean
 from ovgeom.frechet import (
     brute_force_frechet_sq,
     frechet_decide,
@@ -152,6 +152,61 @@ class TestFrechetDecide:
         p = ((0, 0), (100, 100), (0, 0))
         q = ((0, 0), (0, 1), (0, 0))
         assert not frechet_decide(p, q, 4)
+
+
+# Coordinates up to 10**6 in size over coprime denominators, so the grid
+# scale of a pair is large.  Points come from a few x and y values, so
+# vertices repeat, and distinct vertices often share an x.
+wide_coord = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.sampled_from([1, 2, 3, 5, 7, 11, 13])
+)
+
+
+@st.composite
+def repeating_curve_pairs(draw):
+    """p of 1-8 vertices and q of 1-130 vertices from one small pool: q's
+    in-threshold cells form long runs, and p's rows repeat."""
+    xs = draw(st.lists(wide_coord, min_size=1, max_size=3))
+    ys = draw(st.lists(wide_coord, min_size=1, max_size=3))
+    pool = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+    p = draw(st.lists(pool, min_size=1, max_size=8))
+    q = draw(st.lists(pool, min_size=1, max_size=130))
+    return p, q
+
+
+def assert_decides_at_the_value(p, q):
+    """True at the value; False one grid step below it, the largest
+    squared distance under the value that the pair's grid can produce."""
+    v = frechet_sq_value(p, q)
+    scale = as_integer_grid([curve(p), curve(q)])[1]
+    assert frechet_decide(p, q, v)
+    if v > 0:
+        assert not frechet_decide(p, q, v - Fraction(1, scale * scale))
+
+
+class TestFrechetDecideAgainstValue:
+    """The bit-row decider against the value recurrence."""
+
+    @given(repeating_curve_pairs())
+    def test_repeating_vertices_and_long_runs(self, pq):
+        assert_decides_at_the_value(*pq)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 129])
+    @pytest.mark.parametrize("exit_step", ["run", "diagonal"])
+    def test_run_across_bit_64(self, m, exit_step):
+        # Row 0 reaches column 0 only.  Row 1 is one run from column 1 to
+        # m-1, or to m-2 when a third row must step diagonally into the last
+        # column: the only way to cell (n-1, m-1).  The last cell entered
+        # carries the value, so one grid step below it the walk is cut there.
+        far = 10**6
+        p0, p1, p2 = (0, 0), (Fraction(1, 3), far), (far, Fraction(1, 2))
+        q0, q1, q2 = (Fraction(1, 13), 0), (0, far), (far, 0)
+        if exit_step == "run":
+            p, q, value = (p0, p1), (q0,) + (q1,) * (m - 1), Fraction(1, 9)
+        else:
+            p, q, value = (p0, p1, p2), (q0,) + (q1,) * (m - 2) + (q2,), Fraction(1, 4)
+        assert frechet_sq_value(p, q) == value
+        assert_decides_at_the_value(p, q)
 
 
 class TestBruteForceOracle:

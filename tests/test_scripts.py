@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ovgeom.bench import PROBLEMS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +46,13 @@ def test_gadget_delta_sweep_certifies_a_quarter_and_fails_two_thirds():
     verdicts = [line.split()[:2] for line in proc.stdout.splitlines()
                 if line.startswith("delta=")]
     assert verdicts == [["delta=1/4", "CERTIFIED"], ["delta=2/3", "FAILED"]]
+
+
+@pytest.mark.parametrize("token", ["x", "0.25"])
+def test_gadget_delta_sweep_rejects_a_bad_delta_with_a_usage_error(token):
+    proc = run_script("gadget_delta_sweep.py", "--deltas", f"1/4,{token}")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"gadget_delta_sweep.py: error: --deltas: bad rational token '{token}'"
+    )
