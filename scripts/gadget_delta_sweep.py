@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 
-from ovgeom.formats import FormatError, format_instance, parse_rat
+from ovgeom.formats import FormatError, format_instance, parse_int, parse_rat
 from ovgeom.gadgets import GadgetConfig, validate_gadget_config
 
 
@@ -32,10 +32,12 @@ def main() -> int:
     ap.add_argument(
         "--deltas", default="1/4,1/8,1/16,2/3", help="comma-separated rationals"
     )
-    ap.add_argument("--trials", type=int, default=128, help="random instances per delta")
-    ap.add_argument("--max-n", type=int, default=6)
-    ap.add_argument("--max-d", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument(
+        "--trials", type=parse_int, default=128, help="random instances per delta"
+    )
+    ap.add_argument("--max-n", type=parse_int, default=6)
+    ap.add_argument("--max-d", type=parse_int, default=3)
+    ap.add_argument("--seed", type=parse_int, default=0)
     args = ap.parse_args()
     try:
         deltas = [(tok, parse_rat(tok)) for tok in args.deltas.split(",")]

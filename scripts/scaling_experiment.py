@@ -22,6 +22,7 @@ import statistics
 from pathlib import Path
 
 from ovgeom.bench import bench_csv, run_bench
+from ovgeom.formats import parse_int
 
 FULL_PLAN = {
     "ov": dict(sizes=[128, 256, 512, 1024], d=16),
@@ -45,8 +46,8 @@ QUICK_PLAN = {
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="bench-results", help="CSV output directory")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--seed", type=parse_int, default=0)
+    ap.add_argument("--repeats", type=parse_int, default=3)
     ap.add_argument("--quick", action="store_true", help="small sizes for a fast run")
     args = ap.parse_args()
 

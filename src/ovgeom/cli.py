@@ -1,5 +1,12 @@
 """Command-line front end: gen / solve / reduce / verify / bench.
 
+Each ``solve`` problem takes only the flags it reads, after its name.
+``reduce`` writes what ``solve`` reads as is: ``{prefix}-p.txt`` and
+``{prefix}-q.txt`` for the bcp problems, or one 2-curve set
+``{prefix}-pair.txt`` for ``frechet``; it prints the ``tau_sq`` that
+answers the instance.  Integer and rational flags take the token grammars
+of ``ovgeom.formats``.
+
 Exit codes: 0 success (or full agreement for ``verify``), 1 a verification
 disagreement was found, 2 usage or I/O error.  Positions printed for humans
 (witness and pair indices) are 1-based, matching the file-format docs.
@@ -14,13 +21,13 @@ from . import __version__
 from .bench import PROBLEMS, bench_csv, run_bench
 from .formats import (
     FormatError,
-    format_curve,
     format_curve_set,
     format_instance,
     format_point_set,
     format_rat,
     parse_curve_set,
     parse_instance,
+    parse_int,
     parse_point_set,
     parse_rat,
     read_text,
@@ -36,9 +43,6 @@ from .verify import KINDS, agreement_table, report_csv, run_verify
 
 __all__ = ["main"]
 
-_SOLVE_PROBLEMS = ("ov", "frechet", "bcp-euclid", "bcp-frechet")
-_REDUCE_KINDS = ("euclid", "frechet", "or-gadget")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     # Each verb takes only the flags its handler reads: --out everywhere,
@@ -46,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output file (default: standard output)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
-    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    seeded.add_argument(
+        "--seed", type=parse_int, default=0, help="PRNG seed (default 0)"
+    )
     parser = argparse.ArgumentParser(
         prog="ovgeom",
         description="Exact geometric reductions from orthogonal-vectors "
@@ -57,25 +63,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", parents=[seeded], help="generate a random instance")
     gen.add_argument("--family", choices=FAMILIES, default="uniform-random")
-    gen.add_argument("--n", type=int, required=True, help="instance size")
-    gen.add_argument("--d", type=int, required=True, help="vector dimension")
+    gen.add_argument("--n", type=parse_int, required=True, help="instance size")
+    gen.add_argument("--d", type=parse_int, required=True, help="vector dimension")
     gen.add_argument(
         "--alpha", default=None, help="rational in (0,1); only for family=unbalanced"
     )
 
-    solve = subs.add_parser("solve", parents=[out], help="solve a problem file")
-    solve.add_argument("problem", choices=_SOLVE_PROBLEMS)
-    solve.add_argument("--in", dest="in_file", help="instance or curve-set file")
-    solve.add_argument("--in-p", dest="in_p", help="first set file (bcp problems)")
-    solve.add_argument("--in-q", dest="in_q", help="second set file (bcp problems)")
-    solve.add_argument(
-        "--tau-sq", default=None, help="squared threshold; turns frechet into a decision"
+    # Each problem takes only the files it reads.  Abbreviations are off
+    # there, since --in is a prefix of --in-p and --in-q.
+    problems = subs.add_parser("solve", help="solve a problem file").add_subparsers(
+        dest="problem", required=True
     )
+
+    def problem(name: str, about: str) -> argparse.ArgumentParser:
+        return problems.add_parser(name, parents=[out], help=about, allow_abbrev=False)
+
+    problem("ov", "orthogonal pair of an instance").add_argument(
+        "--in", dest="in_file", required=True, help="instance file"
+    )
+    frechet = problem("frechet", "discrete Frechet distance of a curve pair")
+    frechet.add_argument("--in", dest="in_file", required=True, help="2-curve set file")
+    frechet.add_argument(
+        "--tau-sq", default=None, help="squared threshold; asks for a yes/no decision"
+    )
+    for name, kind in (("bcp-euclid", "point-set"), ("bcp-frechet", "curve-set")):
+        bcp = problem(name, f"closest pair across two {kind} files")
+        bcp.add_argument("--in-p", required=True, help=f"first {kind} file")
+        bcp.add_argument("--in-q", required=True, help=f"second {kind} file")
 
     reduce_p = subs.add_parser(
         "reduce", parents=[out], help="transform an instance into geometry files"
     )
-    reduce_p.add_argument("--kind", choices=_REDUCE_KINDS, required=True)
+    reduce_p.add_argument(
+        "--kind", choices=("euclid", "frechet", "or-gadget"), required=True
+    )
     reduce_p.add_argument("--in", dest="in_file", required=True, help="instance file")
     reduce_p.add_argument(
         "--out-prefix", required=True, help="output path prefix for the emitted files"
@@ -89,9 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(KINDS),
         help=f"comma-separated subset of {','.join(KINDS)} (default: all)",
     )
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--max-n", type=int, default=8, help="max side size per trial")
-    verify.add_argument("--max-d", type=int, default=6, help="max dimension per trial")
+    verify.add_argument("--trials", type=parse_int, default=100)
+    verify.add_argument(
+        "--max-n", type=parse_int, default=8, help="max side size per trial"
+    )
+    verify.add_argument(
+        "--max-d", type=parse_int, default=6, help="max dimension per trial"
+    )
     verify.add_argument("--format", choices=("text", "csv"), default="text")
     verify.add_argument(
         "--corrupt-kind",
@@ -107,8 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--sizes", required=True, help="comma-separated ascending sizes, e.g. 256,512"
     )
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--d", type=int, default=8, help="dimension for the workload")
+    bench.add_argument("--repeats", type=parse_int, default=3)
+    bench.add_argument(
+        "--d", type=parse_int, default=8, help="dimension for the workload"
+    )
 
     return parser
 
@@ -134,15 +161,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise FormatError(f"missing required flag {flag} for this problem")
-    return value
-
-
 def _cmd_solve(args) -> int:
     if args.problem == "ov":
-        inst = parse_instance(read_text(_require(args.in_file, "--in")))
+        inst = parse_instance(read_text(args.in_file))
         witness = ov_decide(inst)
         if witness is None:
             _emit("no-witness", args.out)
@@ -151,7 +172,7 @@ def _cmd_solve(args) -> int:
         return 0
 
     if args.problem == "frechet":
-        curves = parse_curve_set(read_text(_require(args.in_file, "--in")))
+        curves = parse_curve_set(read_text(args.in_file))
         if len(curves) != 2:
             raise FormatError(f"frechet needs a 2-curve file, got {len(curves)}")
         if args.tau_sq is not None:
@@ -161,8 +182,7 @@ def _cmd_solve(args) -> int:
             _emit(f"sq {format_rat(frechet_sq(*curves).sq_value)}", args.out)
         return 0
 
-    in_p = read_text(_require(args.in_p, "--in-p"))
-    in_q = read_text(_require(args.in_q, "--in-q"))
+    in_p, in_q = read_text(args.in_p), read_text(args.in_q)
     if args.problem == "bcp-euclid":
         res = bcp_euclid(parse_point_set(in_p), parse_point_set(in_q))
     else:
@@ -176,37 +196,28 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reduce(args) -> int:
     inst = parse_instance(read_text(args.in_file))
-    prefix = args.out_prefix
     if args.kind == "euclid":
-        emb = embed_euclid(inst)
-        files = {
-            f"{prefix}-p.txt": format_point_set(emb.points_a),
-            f"{prefix}-q.txt": format_point_set(emb.points_b),
-        }
-        tau_sq = emb.tau_sq
+        out = embed_euclid(inst)
+        texts = dict(p=format_point_set(out.points_a), q=format_point_set(out.points_b))
     elif args.kind == "frechet":
-        emb = embed_frechet(inst)
-        files = {
-            f"{prefix}-p.txt": format_curve_set(emb.curves_a),
-            f"{prefix}-q.txt": format_curve_set(emb.curves_b),
-        }
-        tau_sq = emb.tau_sq
+        out = embed_frechet(inst)
+        texts = dict(p=format_curve_set(out.curves_a), q=format_curve_set(out.curves_b))
     else:
         out = or_gadget(inst, default_gadget_config())
-        files = {
-            f"{prefix}-pi.txt": format_curve(out.curve_a),
-            f"{prefix}-sigma.txt": format_curve(out.curve_b),
-        }
-        tau_sq = out.tau_sq
-    for path, text in files.items():
+        texts = dict(pair=format_curve_set((out.curve_a, out.curve_b)))
+    lines = [f"tau_sq {format_rat(out.tau_sq)}"]
+    for suffix, text in texts.items():
+        path = f"{args.out_prefix}-{suffix}.txt"
         write_text(path, text)
-    lines = [f"tau_sq {format_rat(tau_sq)}"] + [f"wrote {p}" for p in files]
+        lines.append(f"wrote {path}")
     _emit("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     kinds = tuple(k for k in args.kinds.split(",") if k)
+    if not kinds:
+        raise FormatError("--kinds names no reduction kind")
     reports = run_verify(
         kinds=kinds,
         trials=args.trials,
@@ -222,8 +233,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    except ValueError as exc:
+        sizes = [parse_int(tok) for tok in args.sizes.split(",") if tok]
+    except FormatError as exc:
         raise FormatError(f"bad --sizes value {args.sizes!r}") from exc
     records = run_bench(
         args.problem, sizes, repeats=args.repeats, d=args.d, seed=args.seed

@@ -1,4 +1,4 @@
-"""Plain-text on-disk formats: instances, curves, curve sets, point sets.
+"""Plain-text on-disk formats: instances, curve sets, point sets.
 
 All formats are line-oriented ASCII.  Lines starting with '#' and blank
 lines are comments and are skipped by every parser; writers may put
@@ -6,14 +6,16 @@ reproducibility notes there.  Rationals are serialized as ``num/den`` in
 lowest terms.  An integer token (a count or a bit) is ``[+-]?[0-9]+`` in
 ASCII digits; a rational token is an integer token or
 ``[+-]?[0-9]+/[0-9]+``, with a nonzero denominator.  No token takes a
-decimal point, exponent, underscore or other form.  Counts on header lines
-describe how many rows follow; positions within files are 1-based when a
-human needs to point at them, but nothing in the formats stores indices.
+decimal point, exponent, underscore or other form; ``parse_int`` and
+``parse_rat`` read one token each, for the command-line flags too.  Counts
+on header lines describe how many rows follow; positions within files are
+1-based when a human needs to point at them, but nothing in the formats
+stores indices.
 
 Instance file:      line 1: ``n_a n_b d``; then n_a rows of d space
                     separated bits, then n_b rows.
-Curve file:         line 1: vertex count; then one ``x y`` vertex per line.
-Curve-set file:     line 1: curve count; then each curve in curve format.
+Curve-set file:     line 1: curve count; then, for each curve, its vertex
+                    count on one line and one ``x y`` vertex per line.
 Point-set file:     line 1: ``count dim``; then one point per line.
 """
 
@@ -27,10 +29,9 @@ __all__ = [
     "FormatError",
     "format_rat",
     "parse_rat",
+    "parse_int",
     "format_instance",
     "parse_instance",
-    "format_curve",
-    "parse_curve",
     "format_curve_set",
     "parse_curve_set",
     "format_point_set",
@@ -61,6 +62,12 @@ def parse_rat(token: str) -> Rat:
         raise FormatError(f"bad rational token {token!r}")
     num, den = m.groups()
     return Rat(int(num), int(den)) if den else Rat(int(num))
+
+
+def parse_int(token: str) -> int:
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise FormatError(f"bad integer token {token!r}")
+    return int(token)
 
 
 def _data_lines(text: str) -> list[list[str]]:
@@ -125,48 +132,13 @@ def parse_instance(text: str) -> OvInstance:
     return OvInstance._from_checked(tuple(vecs[:n_a]), tuple(vecs[n_a:]), d)
 
 
-def _format_curve_lines(c: Curve2) -> list[str]:
-    lines = [str(len(c))]
-    lines.extend(f"{format_rat(x)} {format_rat(y)}" for x, y in c)
-    return lines
-
-
-def format_curve(c: Curve2, header: str | None = None) -> str:
-    return "\n".join(_comments(header) + _format_curve_lines(curve(c))) + "\n"
-
-
-def _parse_curve_rows(rows: list[list[str]], at: int) -> tuple[Curve2, int]:
-    if at >= len(rows):
-        raise FormatError("file promises more curves than it contains")
-    count = _ints(rows[at], 1)[0]
-    if count < 1:
-        raise FormatError("curve vertex count must be >= 1")
-    if at + 1 + count > len(rows):
-        raise FormatError(f"curve promises {count} vertices, file is short")
-    verts = []
-    for row in rows[at + 1 : at + 1 + count]:
-        if len(row) != 2:
-            raise FormatError(f"curve vertex needs 2 coordinates, got {row!r}")
-        verts.append((parse_rat(row[0]), parse_rat(row[1])))
-    return curve(verts), at + 1 + count
-
-
-def parse_curve(text: str) -> Curve2:
-    rows = _data_lines(text)
-    if not rows:
-        raise FormatError("empty curve file")
-    c, end = _parse_curve_rows(rows, 0)
-    if end != len(rows):
-        raise FormatError("trailing rows after curve")
-    return c
-
-
 def format_curve_set(curves, header: str | None = None) -> str:
     curves = [curve(c) for c in curves]
     lines = _comments(header)
     lines.append(str(len(curves)))
     for c in curves:
-        lines.extend(_format_curve_lines(c))
+        lines.append(str(len(c)))
+        lines.extend(f"{format_rat(x)} {format_rat(y)}" for x, y in c)
     return "\n".join(lines) + "\n"
 
 
@@ -179,8 +151,20 @@ def parse_curve_set(text: str) -> tuple[Curve2, ...]:
         raise FormatError("curve-set count must be >= 1")
     out, at = [], 1
     for _ in range(count):
-        c, at = _parse_curve_rows(rows, at)
-        out.append(c)
+        if at >= len(rows):
+            raise FormatError("file promises more curves than it contains")
+        n = _ints(rows[at], 1)[0]
+        if n < 1:
+            raise FormatError("curve vertex count must be >= 1")
+        if at + 1 + n > len(rows):
+            raise FormatError(f"curve promises {n} vertices, file is short")
+        verts = []
+        for row in rows[at + 1 : at + 1 + n]:
+            if len(row) != 2:
+                raise FormatError(f"curve vertex needs 2 coordinates, got {row!r}")
+            verts.append((parse_rat(row[0]), parse_rat(row[1])))
+        out.append(curve(verts))
+        at += 1 + n
     if at != len(rows):
         raise FormatError("trailing rows after curve set")
     return tuple(out)

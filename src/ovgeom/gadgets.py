@@ -58,7 +58,7 @@ of s and t, so the instance A = {1}, B = {0, 1} decides a false no.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import product
 from random import Random
@@ -85,7 +85,8 @@ T_SYNC = (Rat(1, 2), Rat(-1))
 
 @dataclass(frozen=True)
 class GadgetConfig:
-    """Gadget half-width plus a certification flag.
+    """Gadget half-width plus a certification flag, which only
+    ``validate_gadget_config`` sets.
 
     A d-vector gadget spans the x-interval [-delta, delta] in d cells of
     width 2*delta/d, one vertex at the centre of each.
@@ -95,7 +96,7 @@ class GadgetConfig:
     """
 
     delta: Rat
-    validated: bool = False
+    validated: bool = field(default=False, init=False)
 
     def __post_init__(self):
         delta = Rat(self.delta)
@@ -228,7 +229,9 @@ def validate_gadget_config(
         inst = _random_instance(rng, max_n, max_d)
         if not _decides_correctly(inst, cfg):
             return GadgetValidation(False, cfg, inst)
-    return GadgetValidation(True, replace(cfg, validated=True), None)
+    certified = GadgetConfig(cfg.delta)
+    object.__setattr__(certified, "validated", True)
+    return GadgetValidation(True, certified, None)
 
 
 @cache

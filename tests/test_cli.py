@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import MALFORMED_CURVE_SETS, MALFORMED_INSTANCES, MALFORMED_POINT_SETS
+from conftest import (
+    MALFORMED_CURVE_SETS,
+    MALFORMED_INSTANCES,
+    MALFORMED_POINT_SETS,
+    instances,
+)
 from ovgeom import __version__
 from ovgeom.cli import main
 from ovgeom.formats import (
-    parse_curve,
+    format_instance,
     parse_curve_set,
     parse_instance,
     parse_point_set,
@@ -23,6 +28,24 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call(*args):
+    """``ovgeom *args`` run in process, for tests where capsys cannot
+    serve (hypothesis examples share one function-scoped fixture)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def exit_code(*args):
+    """The exit status of ``ovgeom *args``, whether argparse or a handler
+    ends the run."""
+    try:
+        return main(list(args))
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -140,9 +163,19 @@ class TestSolve:
         assert "2-curve" in err
 
     def test_missing_input_flag_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "ov")
-        assert code == 2
-        assert "--in" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "ov"])
+        assert exc.value.code == 2
+        assert "--in" in capsys.readouterr().err
+
+    def test_out_follows_the_problem_name(self, tmp_path, capsys):
+        path, out = tmp_path / "i.txt", tmp_path / "answer.txt"
+        path.write_text("1 1 2\n1 0\n0 1\n")
+        code, stdout, _ = run_cli(
+            capsys, "solve", "ov", "--in", str(path), "--out", str(out)
+        )
+        assert (code, stdout, out.read_text()) == (0, "", "witness 1 1")
+        assert exit_code("solve", "--out", str(out), "ov", "--in", str(path)) == 2
 
     @pytest.mark.parametrize("text, message", MALFORMED_INSTANCES)
     def test_malformed_instance_exits_two(self, tmp_path, capsys, text, message):
@@ -371,11 +404,39 @@ class TestReduce:
             prefix,
         )
         assert code == 0
-        assert out.splitlines()[0] == "tau_sq 1/1"
-        pi = parse_curve((tmp_path / "gad-pi.txt").read_text())
-        sigma = parse_curve((tmp_path / "gad-sigma.txt").read_text())
+        assert out.splitlines() == ["tau_sq 1/1", f"wrote {prefix}-pair.txt"]
+        pi, sigma = parse_curve_set((tmp_path / "gad-pair.txt").read_text())
         assert len(pi) == 4 * (3 + 2)
         assert len(sigma) == 4 * 3 + 4
+
+    @given(instances(max_n=4, max_d=4))
+    def test_reduce_output_solves_to_the_ov_answer(self, tmp_path_factory, inst):
+        # Each kind's files, solved as written at the printed tau_sq,
+        # decide the instance the way the pair-scan oracle does.
+        tmp = tmp_path_factory.mktemp("e2e")
+        path = tmp / "inst.txt"
+        path.write_text(format_instance(inst))
+        code, out, _ = call("solve", "ov", "--in", str(path))
+        assert code == 0
+        has_witness = out.startswith("witness ")
+        for kind in ("euclid", "frechet", "or-gadget"):
+            prefix = str(tmp / kind)
+            code, out, _ = call(
+                "reduce", "--kind", kind, "--in", str(path), "--out-prefix", prefix
+            )
+            assert code == 0
+            tau_sq = out.split()[1]
+            if kind == "or-gadget":
+                code, out, _ = call(
+                    "solve", "frechet", "--in", f"{prefix}-pair.txt", "--tau-sq", tau_sq
+                )
+                decided = out == "yes\n"
+            else:
+                problem = "bcp-euclid" if kind == "euclid" else "bcp-frechet"
+                p, q = f"{prefix}-p.txt", f"{prefix}-q.txt"
+                code, out, _ = call("solve", problem, "--in-p", p, "--in-q", q)
+                decided = parse_rat(out.split()[-1]) <= parse_rat(tau_sq)
+            assert code == 0 and decided == has_witness, kind
 
     def test_missing_out_prefix_is_usage_error(self, instance_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -434,6 +495,13 @@ class TestVerify:
         assert code == 2
         assert "unknown reduction kind" in err
 
+    @pytest.mark.parametrize("kinds", [",", ""])
+    def test_empty_kind_list_is_usage_error(self, capsys, kinds):
+        # Zero checks must not read as full agreement.
+        code, out, err = run_cli(capsys, "verify", "--kinds", kinds, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "ovgeom: error: --kinds names no reduction kind\n"
+
 
 class TestBench:
     def test_csv_to_stdout(self, capsys):
@@ -488,6 +556,10 @@ class TestFlagsPerVerb:
             ["gen", "--n", "2", "--d", "2", "--format", "csv"],
             ["solve", "ov", "--in", "f", "--format", "csv"],
             ["bench", "--problem", "ov", "--sizes", "2", "--format", "csv"],
+            ["solve", "ov", "--in", "f", "--tau-sq", "1"],
+            ["solve", "ov", "--in", "f", "--in-p", "f"],
+            ["solve", "bcp-euclid", "--in-p", "f", "--in-q", "f", "--in", "f"],
+            ["solve", "frechet", "--in", "f", "--in-q", "f"],
         ],
     )
     def test_flag_a_verb_does_not_read_is_argparse_error(self, capsys, argv):
@@ -495,6 +567,35 @@ class TestFlagsPerVerb:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestIntegerFlags:
+    """Integer flags take the ASCII integer grammar of the file formats."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "1_0", "--d", "3"],
+            ["gen", "--n", "3", "--d", "\u0663"],
+            ["gen", "--n", "3", "--d", "3", "--seed", "\u0667"],
+            ["gen", "--n", " 3", "--d", "3"],
+            ["verify", "--trials", "1_0"],
+            ["verify", "--max-n", "\u0663"],
+            ["verify", "--max-d", "0_3"],
+            ["bench", "--problem", "ov", "--sizes", "4", "--repeats", "1_0"],
+            ["bench", "--problem", "ov", "--sizes", "4", "--d", "\u0663"],
+            ["bench", "--problem", "ov", "--sizes", "1_6,\u0663\u0662"],
+            ["bench", "--problem", "ov", "--sizes", "16,\u0663\u0662"],
+        ],
+    )
+    def test_token_outside_the_grammar_is_usage_error(self, capsys, argv):
+        assert exit_code(*argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_signed_and_padded_integers_still_parse(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--n", "+3", "--d", "02", "--seed", "-1")
+        assert code == 0
+        assert "# family=uniform-random n=3 d=2 seed=-1" in out
 
 
 class TestTopLevel:

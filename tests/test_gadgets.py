@@ -13,6 +13,7 @@ from hypothesis import given
 
 from conftest import instances
 from ovgeom.core import ov_instance
+from ovgeom import gadgets
 from ovgeom.frechet import frechet_decide
 from ovgeom.gadgets import (
     S_POINT,
@@ -117,6 +118,12 @@ class TestOrGadgetAssembly:
         with pytest.raises(ValueError, match="certified"):
             or_gadget(inst, GadgetConfig(Fraction(1, 4)))
 
+    def test_certification_cannot_be_passed_in(self):
+        # Only validate_gadget_config certifies: delta = 2/3 fails its sweep,
+        # so a constructor flag must not let or_gadget accept it.
+        with pytest.raises(TypeError):
+            GadgetConfig(Fraction(2, 3), validated=True)
+
     @given(instances(max_n=4, max_d=4))
     def test_output_sizes_exact(self, inst):
         g = or_gadget(inst, default_gadget_config())
@@ -200,7 +207,7 @@ class TestValidateGadgetConfig:
         assert not result.config.validated
         inst = result.counterexample
         assert inst == ov_instance([(1,)], [(0,), (1,)])
-        g = or_gadget(inst, GadgetConfig(Fraction(2, 3), validated=True))
+        g = gadgets._assemble(inst, GadgetConfig(Fraction(2, 3)))
         stitched = frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
         assert ov_decide(inst) is not None and not stitched
 

@@ -56,3 +56,21 @@ def test_gadget_delta_sweep_rejects_a_bad_delta_with_a_usage_error(token):
     assert proc.stderr.splitlines()[-1] == (
         f"gadget_delta_sweep.py: error: --deltas: bad rational token '{token}'"
     )
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("gadget_delta_sweep.py", ["--deltas", "1/4", "--trials", "1_0"]),
+        ("gadget_delta_sweep.py", ["--deltas", "1/4", "--max-d", "\u0663"]),
+        ("scaling_experiment.py", ["--quick", "--repeats", "0", "--seed", "\u0667"]),
+        ("scaling_experiment.py", ["--quick", "--repeats", "0_0"]),
+    ],
+)
+def test_bad_integer_flag_is_a_usage_error(tmp_path, name, args):
+    if name == "scaling_experiment.py":  # a parsed run would write CSVs here
+        args = [*args, "--out-dir", str(tmp_path)]
+    proc = run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "invalid parse_int value" in proc.stderr.splitlines()[-1]
