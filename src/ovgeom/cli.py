@@ -141,10 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
+    # a file answer and a piped answer are the same bytes: one final newline
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         write_text(out, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _cmd_gen(args) -> int:

@@ -10,7 +10,9 @@ bottleneck recurrence (Eiter & Mannila 1994).  Three routes are provided:
 
 * ``frechet_sq``        -- keeps every row; the value and one optimal
                            traversal (deterministic tie-breaking),
-* ``frechet_sq_value``  -- keeps the last row only, O(min(n, m)) memory,
+* ``frechet_sq_value``  -- keeps the last row only, O(min(n, m)) memory;
+                           its grid-level core ``_grid_value`` also serves
+                           the curve scan of ``ovgeom.proximity``,
 * ``frechet_decide``    -- threshold decision as reachability on bit rows:
                            one big-int row per vertex of p, filled by
                            addition over the mask of in-threshold cells.
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor
 
-from .core import Curve2, Rat, SqDist, as_integer_grid, curve, sq_dist
+from .core import Rat, SqDist, as_integer_grid, curve, sq_dist
 
 __all__ = [
     "Traversal",
@@ -128,19 +130,19 @@ def frechet_sq(p, q) -> FrechetResult:
     return FrechetResult(Rat(table[n - 1][m - 1], scale * scale), tuple(steps))
 
 
-def _sq_value(p: Curve2, q: Curve2) -> SqDist:
-    """``frechet_sq_value`` of two curves already built by ``curve``."""
-    (ip, iq), scale = as_integer_grid([p, q])
+def _grid_value(ip: list[tuple[int, int]], iq: list[tuple[int, int]]) -> int:
+    """Squared discrete Fréchet distance of two curves on one integer grid."""
     if len(ip) < len(iq):  # the distance is symmetric: keep rows short
         ip, iq = iq, ip
     for last in _rows(ip, iq):
         pass
-    return Rat(last[-1], scale * scale)
+    return last[-1]
 
 
 def frechet_sq_value(p, q) -> SqDist:
     """Value-only dynamic program keeping one table row."""
-    return _sq_value(curve(p), curve(q))
+    (ip, iq), scale = as_integer_grid([curve(p), curve(q)])
+    return Rat(_grid_value(ip, iq), scale * scale)
 
 
 def frechet_decide(p, q, tau_sq) -> bool:

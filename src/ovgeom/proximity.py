@@ -10,18 +10,25 @@ toward the lexicographically smallest (index_p, index_q) pair for
 closest-pair scans.
 
 Curve collections use the discrete Fréchet distance via one linear scan,
-``CurveScanIndex.query``, which ``bcp_frechet`` runs once per curve of P.
-Each curve pair gets its own grid: one over a whole family would grow
-with every new denominator.  There is no spatial index for curves.
+``CurveScanIndex``, which ``bcp_frechet`` runs once per curve of P.  Each
+curve is put on its own integer grid once; a pair meets on the grid of
+the lcm L of its two scales, and only a side whose scale is not L is
+rescaled (one grid over a whole family would grow with every new
+denominator).  The scan skips a pair whose endpoint bound
+max(|p₀−q₀|², |pₙ−qₘ|²) is already at least the best value so far:
+every traversal matches both endpoint pairs, so the bound never exceeds
+the distance, and a skipped pair could neither win nor tie.  There is no
+spatial index for curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 
 from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
-from .frechet import _sq_value
+from .frechet import _grid_value
 
 __all__ = [
     "BcpResult",
@@ -102,12 +109,14 @@ def bcp_frechet(curves_p, curves_q) -> BcpResult:
     if not p_side or not q_side:
         raise ValueError("both curve families must be non-empty")
     index = CurveScanIndex(q_side)
-    best: tuple[SqDist, int, int] | None = None
+    best_i = best_j = best = None
     for i, p in enumerate(p_side):
-        j, d = index.query(p)
-        if best is None or d < best[0]:  # i ascends, so ties keep the lower i
-            best = (d, i, j)
-    return BcpResult(best[1], best[2], best[0])
+        # i ascends and the scan reports only a strictly smaller value, so
+        # ties keep the lower i
+        j, d = index._scan(*_grid_curve(p), best)
+        if j is not None:
+            best_i, best_j, best = i, j, d
+    return BcpResult(best_i, best_j, best)
 
 
 class LinearScanIndex:
@@ -203,21 +212,63 @@ class KdTreeIndex(LinearScanIndex):
         return best
 
 
+def _grid_curve(c: Curve2) -> tuple[list[tuple[int, int]], int]:
+    """A curve on its own integer grid: (int vertices, scale)."""
+    (grid,), scale = as_integer_grid([c])
+    return grid, scale
+
+
+def _rescaled(grid: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    return grid if k == 1 else [(x * k, y * k) for x, y in grid]
+
+
 class CurveScanIndex:
-    """Curve index over ``core.curve`` curves, scanned by squared Fréchet."""
+    """Curve index over ``core.curve`` curves, scanned by squared Fréchet.
+
+    Each curve is stored once on its own integer grid, as (int vertices,
+    scale).  A scan meets a query of scale s_q and a stored curve of scale
+    s_p on the grid of L = lcm(s_p, s_q), rescaling only a side whose
+    scale is not L, and skips the value DP for a stored curve whose
+    endpoint bound already reaches the best value found so far.
+    """
 
     dim = None
 
     def __init__(self, curves: list[Curve2]):
-        self.curves = curves
+        self.grids = [_grid_curve(c) for c in curves]
 
     def query(self, q: Curve2) -> tuple[int, SqDist]:
-        best_i, best_d = 0, _sq_value(self.curves[0], q)
-        for i in range(1, len(self.curves)):
-            d = _sq_value(self.curves[i], q)
-            if d < best_d:
-                best_i, best_d = i, d
-        return best_i, best_d
+        return self._scan(*_grid_curve(q), None)
+
+    def _scan(
+        self, iq: list[tuple[int, int]], sq: int, best: SqDist | None
+    ) -> tuple[int | None, SqDist | None]:
+        """Nearest stored curve to the grid curve (iq, sq), if it beats ``best``.
+
+        Returns (lowest index at the smallest squared Fréchet distance, that
+        distance) when the distance is strictly below ``best``, else
+        (None, ``best``).  With ``best`` None the first stored curve sets
+        it, so a non-empty index always answers.
+        """
+        (q0x, q0y), (qnx, qny) = iq[0], iq[-1]
+        found = None
+        for i, (ip, sp) in enumerate(self.grids):
+            scale = lcm(sp, sq)
+            kp, kq = scale // sp, scale // sq
+            ll = scale * scale
+            if best is not None:
+                # bound on the grid: max of the two endpoint distances, ·L²
+                (p0x, p0y), (pnx, pny) = ip[0], ip[-1]
+                lb = max(
+                    (kp * p0x - kq * q0x) ** 2 + (kp * p0y - kq * q0y) ** 2,
+                    (kp * pnx - kq * qnx) ** 2 + (kp * pny - kq * qny) ** 2,
+                )
+                if lb * best.denominator >= best.numerator * ll:
+                    continue
+            value = _grid_value(_rescaled(ip, kp), _rescaled(iq, kq))
+            if best is None or value * best.denominator < best.numerator * ll:
+                best, found = Rat(value, ll), i
+        return found, best
 
 
 NnIndex = LinearScanIndex | KdTreeIndex | CurveScanIndex

@@ -174,7 +174,7 @@ class TestSolve:
         code, stdout, _ = run_cli(
             capsys, "solve", "ov", "--in", str(path), "--out", str(out)
         )
-        assert (code, stdout, out.read_text()) == (0, "", "witness 1 1")
+        assert (code, stdout, out.read_text()) == (0, "", "witness 1 1\n")
         assert exit_code("solve", "--out", str(out), "ov", "--in", str(path)) == 2
 
     @pytest.mark.parametrize("text, message", MALFORMED_INSTANCES)
@@ -567,6 +567,30 @@ class TestFlagsPerVerb:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutFile:
+    """``--out`` writes the bytes the verb would print on standard output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "ov", "--in", "{inst}"],
+            ["solve", "bcp-frechet", "--in-p", "{tmp}/e-p.txt", "--in-q", "{tmp}/e-q.txt"],
+            ["reduce", "--kind", "frechet", "--in", "{inst}", "--out-prefix", "{tmp}/e"],
+            ["verify", "--trials", "2", "--max-n", "3", "--max-d", "3"],
+        ],
+    )
+    def test_out_file_bytes_equal_stdout_bytes(self, tmp_path, capsys, instance_file, argv):
+        # the bcp-frechet case reads the two curve sets this writes
+        reduce = ("reduce", "--kind", "frechet", "--in", str(instance_file))
+        assert run_cli(capsys, *reduce, "--out-prefix", f"{tmp_path}/e")[0] == 0
+        argv = [a.format(inst=instance_file, tmp=tmp_path) for a in argv]
+        code, stdout, _ = run_cli(capsys, *argv)
+        out = tmp_path / "answer.txt"
+        assert run_cli(capsys, *argv, "--out", str(out)) == (code, "", "")
+        assert out.read_bytes() == stdout.encode()
+        assert stdout.endswith("\n") and not stdout.endswith("\n\n")
 
 
 class TestIntegerFlags:

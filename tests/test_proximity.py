@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import instances, int_points, rational_coord, small_coord
+from ovgeom import proximity
 from ovgeom.core import curve, point, squared_euclidean
 from ovgeom.embed import embed_euclid, embed_frechet
 from ovgeom.frechet import (
@@ -89,6 +90,40 @@ class TestBcpFrechet:
     def test_rejects_empty_family(self):
         with pytest.raises(ValueError, match="non-empty"):
             bcp_frechet([((0, 0),)], [])
+
+    @staticmethod
+    def dp_pairs(monkeypatch, inst):
+        """bcp_frechet of ``inst``'s embedding, with the number of pairs
+        that ran the value DP."""
+        calls = []
+        real = proximity._grid_value
+
+        def counted(ip, iq):
+            calls.append(1)
+            return real(ip, iq)
+
+        monkeypatch.setattr(proximity, "_grid_value", counted)
+        emb = embed_frechet(inst)
+        return bcp_frechet(emb.curves_a, emb.curves_b), len(calls)
+
+    def test_endpoint_bound_skips_every_pair_after_the_first_on_no_instances(
+        self, monkeypatch
+    ):
+        # the forced first coordinate puts every pair's first vertices 3
+        # apart, so the first pair's value, 9, rules out all the others
+        res, pairs = self.dp_pairs(
+            monkeypatch, generate(GenSpec("no-orthogonal", n=8, d=8, seed=0))
+        )
+        assert (res, pairs) == (BcpResult(0, 0, Fraction(9)), 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_endpoint_bound_skips_every_pair_after_the_witness(self, monkeypatch, seed):
+        # embedded first vertices are at least 1 apart, so once the witness
+        # gives 1 no later pair in (i, j) order runs the DP
+        inst = generate(GenSpec("planted-orthogonal", n=8, d=8, seed=seed))
+        res, pairs = self.dp_pairs(monkeypatch, inst)
+        assert res.sq_value == 1
+        assert pairs <= res.index_p * inst.n_b + res.index_q + 1
 
     @given(
         st.lists(
@@ -380,6 +415,19 @@ class TestFrechetKernelsAgainstEnumeration:
         assert bcp_frechet(ps, qs) == BcpResult(1, 1, Fraction(0))
         assert nn_query(nn_build(ps, "frechet-linear"), c) == (1, 0)
         assert_frechet_kernels_match_reference(ps, qs)
+
+    def test_winner_matched_off_its_middle_vertices(self):
+        # q_win beats q_far (1/9 < 2/9), though the two middle vertices of
+        # the winning pair are 100/9 apart and its endpoint bound 1/9 is
+        # more than 2/9 once multiplied by its grid scale 3: a scan that
+        # takes either for a lower bound skips the winner.
+        a, b = (0, 0), (Fraction(10, 3), 0)
+        p_win = (a, a, a, b)
+        q_far = ((Fraction(1, 3), Fraction(1, 3)), (Fraction(11, 3), Fraction(1, 3)))
+        q_win = ((0, Fraction(1, 3)), b, b, b)
+        assert bcp_frechet([p_win], [q_far, q_win]) == BcpResult(0, 1, Fraction(1, 9))
+        assert_frechet_kernels_match_reference([p_win], [q_far, q_win])
+        assert_frechet_kernels_match_reference([q_far, q_win], [p_win])
 
     def test_single_vertex_curves_with_negative_coordinates(self):
         ps = [((-3, -4),), ((-1, Fraction(-1, 2)), (-7, 2)), ((-5, 0),)]
