@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
 """Certify candidate amplitudes for the disjunction gadget.
 
-For each delta the certification sweep compares the gadget's curve-pair
-decision against the pair-scan oracle (exhaustive tiny instances plus
-seeded random ones) and prints the verdict with a counterexample when one
-exists.
-
-The default domain stops at dimension 3, as the package's own start-up
-certification does.  The grid gadget is sound at every dimension, so
-pushing ``--max-d`` to 4 or beyond (give it a few hundred trials: uniform
-sampling rarely draws the witness-free instances where a false positive
-could show) certifies the small amplitudes there too.  Too wide an
-amplitude fails: 2/3 leaves a one-dimensional b-vertex with a 1 bit out of
-reach of the s/t waiting points and decides a false no.
+For each delta the exact per-dimension check of ``validate_gadget_config``
+runs at every dimension up to ``--max-d`` and prints the verdict: either
+CERTIFIED, or FAILED at the first dimension where the vertex-type relation
+breaks, with a counterexample instance the gadget decides wrongly when the
+candidate list holds one.  Amplitudes up to (sqrt(3) - 1)/2 certify at every
+dimension; 3/8 fails from d = 42, 1/2 from d = 4 and 2/3 at d = 1.
 
 Example:
     python3 scripts/gadget_delta_sweep.py --deltas 1/4,1/8,1/16,2/3
-    python3 scripts/gadget_delta_sweep.py --deltas 1/4,1/3 --max-d 6 --trials 400
+    python3 scripts/gadget_delta_sweep.py --deltas 1/3,3/8 --max-d 64
 """
 
 from __future__ import annotations
@@ -32,12 +26,7 @@ def main() -> int:
     ap.add_argument(
         "--deltas", default="1/4,1/8,1/16,2/3", help="comma-separated rationals"
     )
-    ap.add_argument(
-        "--trials", type=parse_int, default=128, help="random instances per delta"
-    )
-    ap.add_argument("--max-n", type=parse_int, default=6)
-    ap.add_argument("--max-d", type=parse_int, default=3)
-    ap.add_argument("--seed", type=parse_int, default=0)
+    ap.add_argument("--max-d", type=parse_int, default=64)
     args = ap.parse_args()
     try:
         deltas = [(tok, parse_rat(tok)) for tok in args.deltas.split(",")]
@@ -52,20 +41,18 @@ def main() -> int:
             print(f"delta={tok:<8} REJECTED  {exc}")
             any_bad = True
             continue
-        result = validate_gadget_config(
-            cfg,
-            trials=args.trials,
-            max_n=args.max_n,
-            max_d=args.max_d,
-            seed=args.seed,
-        )
+        result = validate_gadget_config(cfg, max_d=args.max_d)
         if result.ok:
-            print(f"delta={tok:<8} CERTIFIED  (max_n={args.max_n}, max_d={args.max_d})")
-        else:
-            any_bad = True
-            print(f"delta={tok:<8} FAILED     first disagreeing instance:")
-            for line in format_instance(result.counterexample).splitlines():
-                print(f"    {line}")
+            print(f"delta={tok:<8} CERTIFIED  (d <= {args.max_d})")
+            continue
+        any_bad = True
+        inst = result.counterexample
+        if inst is None:
+            print(f"delta={tok:<8} FAILED     at a d <= {args.max_d}, no counterexample")
+            continue
+        print(f"delta={tok:<8} FAILED     at d={inst.d}; counterexample:")
+        for line in format_instance(inst).splitlines():
+            print(f"    {line}")
     return 1 if any_bad else 0
 
 

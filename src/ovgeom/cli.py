@@ -33,7 +33,7 @@ from .formats import (
     read_text,
     write_text,
 )
-from .frechet import frechet_decide, frechet_sq
+from .frechet import frechet_decide, frechet_sq_value
 from .gadgets import default_gadget_config, or_gadget
 from .generate import FAMILIES, GenSpec, generate
 from .embed import embed_euclid, embed_frechet
@@ -182,7 +182,7 @@ def _cmd_solve(args) -> int:
             ok = frechet_decide(curves[0], curves[1], parse_rat(args.tau_sq))
             _emit("yes" if ok else "no", args.out)
         else:
-            _emit(f"sq {format_rat(frechet_sq(*curves).sq_value)}", args.out)
+            _emit(f"sq {format_rat(frechet_sq_value(*curves))}", args.out)
         return 0
 
     in_p, in_q = read_text(args.in_p), read_text(args.in_q)

@@ -26,12 +26,12 @@ Disjunction gadget
 
     s = (-1/2, 0)   t = (1/2, 0)   s_sync = (-1/2, -1)   t_sync = (1/2, -1).
 
-s and t are within distance 1 of every gadget vertex and act as waiting
-spots; the sync points are within 1 of s-points respectively t-points
-*only*, which forces any threshold-1 traversal to line some a-gadget up
-against gadget vertices of the tour.  The curve pair then satisfies the
-contract: squared discrete Fréchet distance <= 1 iff the instance has an
-orthogonal pair.
+s and t are within distance 1 of every gadget vertex (for a certified
+amplitude, below) and act as waiting spots; the sync points are within 1
+of s-points respectively t-points *only*, which forces any threshold-1
+traversal to line some a-gadget up against gadget vertices of the tour.
+The curve pair then satisfies the contract: squared discrete Fréchet
+distance <= 1 iff the instance has an orthogonal pair.
 
 Soundness
 ---------
@@ -44,26 +44,28 @@ b-gadget, and from there any step that is not diagonal would pair
 different indices, so the a-gadget walks that one b-gadget index by index
 (for d = 1 the first match is the whole walk): a yes answer exhibits an
 orthogonal pair.  Completeness needs s and t within 1 of every gadget
-vertex, which holds for small amplitudes such as the default delta = 1/4.
+vertex: either curve waits there while the other passes unused gadgets.
 
 Certification, not trust
 ------------------------
-The contract is also checked mechanically: a configuration must be swept
-against the pair-scan oracle (``validate_gadget_config``) before
-``or_gadget`` will emit anything, and a failed sweep names a
-counterexample instance.  Too wide an amplitude is caught this way: at
-delta = 2/3 a one-dimensional b-vertex carrying a 1 bit is out of reach
-of s and t, so the instance A = {1}, B = {0, 1} decides a false no.
+The argument uses only which vertex types are within 1 of each other:
+a(i, x) of b(j, y) iff i = j and not x = y = 1, plus the facts about s,
+t and the sync points above.  ``or_gadget`` checks this relation exactly
+on the integer grid, once per (delta, d).  The binding pairs are
+a(d-1, 1) and b(d-1, 1) against s, so (delta, d) is certified iff
+(1/2 + delta - delta/d)^2 + (1/2 + delta^2/d^2)^2 <= 1.  The left side
+never exceeds (1/2 + delta)^2 + 1/4, so delta <= (sqrt(3) - 1)/2 ~ 0.366
+certifies every d; 3/8 fails from d = 42, 1/2 from d = 4, and 2/3 at
+d = 1, where A = {1}, B = {0, 1} decides a false no.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import product
-from random import Random
 
 from .core import BitVector, Curve2, OvInstance, Rat, SqDist
+from .core import as_integer_grid, squared_euclidean
 from .frechet import frechet_decide
 from .ov import ov_decide
 
@@ -85,18 +87,14 @@ T_SYNC = (Rat(1, 2), Rat(-1))
 
 @dataclass(frozen=True)
 class GadgetConfig:
-    """Gadget half-width plus a certification flag, which only
-    ``validate_gadget_config`` sets.
-
-    A d-vector gadget spans the x-interval [-delta, delta] in d cells of
-    width 2*delta/d, one vertex at the centre of each.
+    """Gadget half-width: a d-vector gadget spans [-delta, delta] in d
+    cells of width 2*delta/d, one vertex at the centre of each.
 
     ``delta`` must satisfy 0 < delta and delta^2 < delta (so delta < 1);
-    everything finer-grained than that is left to certification sweeps.
+    ``or_gadget`` decides per dimension whether the amplitude is certified.
     """
 
     delta: Rat
-    validated: bool = field(default=False, init=False)
 
     def __post_init__(self):
         delta = Rat(self.delta)
@@ -109,7 +107,7 @@ class GadgetConfig:
 
 @dataclass(frozen=True)
 class GadgetValidation:
-    """Outcome of a certification sweep."""
+    """Outcome of a certification check."""
 
     ok: bool
     config: GadgetConfig
@@ -149,6 +147,42 @@ def vector_gadget(z: BitVector, side: str, cfg: GadgetConfig) -> Curve2:
     return tuple(zip(xs, [ys[bit] for bit in z]))
 
 
+def _required_relation(d: int):
+    """Yield (type on curve A, type on curve B, must they be within 1?).
+    Different indices are paired as neighbours only, which is exact: the
+    x-gap grows with |i - j| and the y-gap depends only on the bits."""
+    yield from (("s", "s_sync", True), ("t", "s_sync", False),
+                ("t", "t_sync", True), ("s", "t_sync", False))
+    for i in range(d):
+        for x in (0, 1):
+            a = f"a({i},{x})"
+            for far in ("s_sync", "t_sync"):
+                yield a, far, False
+            for end in ("s", "t"):
+                yield a, end, True
+                yield end, f"b({i},{x})", True
+            for j in range(max(i - 1, 0), min(i + 2, d)):
+                for y in (0, 1):
+                    yield a, f"b({j},{y})", j == i and not (x and y)
+
+
+@lru_cache(maxsize=256)
+def _violation(delta: Rat, d: int) -> str | None:
+    """The first vertex-type pair that breaks the relation the module
+    docstring's argument needs at (delta, d), or None."""
+    xs, ys_a = _layout(delta, d, "a")
+    _, ys_b = _layout(delta, d, "b")
+    cells = [(x, y) for x in xs for y in ys_a + ys_b]
+    [grid], scale = as_integer_grid([[S_POINT, T_POINT, S_SYNC, T_SYNC, *cells]])
+    names = ["s", "t", "s_sync", "t_sync"]
+    names += [f"{side}({i},{x})" for i in range(d) for side in "ab" for x in (0, 1)]
+    vertex = dict(zip(names, grid))
+    for p, q, near in _required_relation(d):
+        if (squared_euclidean(vertex[p], vertex[q]) <= scale * scale) != near:
+            return f"{p} and {q} are {'more than 1 apart' if near else 'within 1'}"
+    return None
+
+
 def _assemble(inst: OvInstance, cfg: GadgetConfig) -> OrGadget:
     curve_a: list = []
     for a in inst.a_side:
@@ -163,14 +197,16 @@ def _assemble(inst: OvInstance, cfg: GadgetConfig) -> OrGadget:
 
 
 def or_gadget(inst: OvInstance, cfg: GadgetConfig) -> OrGadget:
-    """Build the disjunction curve pair for a certified configuration.
+    """Build the disjunction curve pair, if (delta, d) is certified.
 
-    Output sizes are exactly |A|*(d+2) and |B|*d + 4.
+    Output sizes are exactly |A|*(d+2) and |B|*d + 4.  Raises
+    ``ValueError`` naming the broken vertex-type pair when the instance's
+    dimension is outside the amplitude's certified range.
     """
-    if not cfg.validated:
+    violation = _violation(cfg.delta, inst.d)
+    if violation is not None:
         raise ValueError(
-            "gadget config is not certified; run validate_gadget_config "
-            "and use the config it returns"
+            f"gadget delta={cfg.delta} is not certified at d={inst.d}: {violation}"
         )
     return _assemble(inst, cfg)
 
@@ -181,63 +217,25 @@ def _decides_correctly(inst: OvInstance, cfg: GadgetConfig) -> bool:
     return stitched == (ov_decide(inst) is not None)
 
 
-def _exhaustive_instances(max_n: int, max_d: int):
-    for d in range(1, max_d + 1):
-        vecs = [tuple((v >> k) & 1 for k in range(d)) for v in range(2 ** d)]
-        for n_a in range(1, max_n + 1):
-            for n_b in range(1, max_n + 1):
-                for fam_a in product(vecs, repeat=n_a):
-                    for fam_b in product(vecs, repeat=n_b):
-                        yield OvInstance._from_checked(fam_a, fam_b, d)
+def validate_gadget_config(cfg: GadgetConfig, max_d: int = 64) -> GadgetValidation:
+    """Run ``or_gadget``'s exact check at every dimension d = 1..max_d.
 
-
-def _random_instance(rng: Random, max_n: int, max_d: int) -> OvInstance:
-    d = rng.randint(1, max_d)
-    n_a = rng.randint(1, max_n)
-    n_b = rng.randint(1, max_n)
-    draw = lambda: tuple(rng.randint(0, 1) for _ in range(d))
-    return OvInstance._from_checked(
-        tuple(draw() for _ in range(n_a)),
-        tuple(draw() for _ in range(n_b)),
-        d,
-    )
-
-
-def validate_gadget_config(
-    cfg: GadgetConfig,
-    trials: int = 128,
-    max_n: int = 6,
-    max_d: int = 3,
-    seed: int = 0,
-) -> GadgetValidation:
-    """Certify a configuration against the pair-scan oracle.
-
-    Sweeps every instance with at most 2 vectors per side in dimension
-    <= 2, then ``trials`` random instances up to (max_n, max_d).  Returns
-    a certified copy of the config on success, or the first disagreeing
-    instance on failure.  The construction is sound at every dimension
-    (see the module docstring); the default randomized domain stops at
-    dimension 3 only because ``default_gadget_config`` runs this sweep at
-    start-up, and wider instances cost more to decide.  The test suite
-    certifies the default amplitude up to dimension 6.
+    At the first failing d the counterexample is A = {1^d} against
+    B = {0^d, 1^d} or B = {1^d, 0^d}, whichever the gadget decides wrongly
+    against the pair-scan oracle, else None: no instances are enumerated.
     """
-    for inst in _exhaustive_instances(2, 2):
-        if not _decides_correctly(inst, cfg):
-            return GadgetValidation(False, cfg, inst)
-    rng = Random(f"gadget-validation:{seed}")
-    for _ in range(trials):
-        inst = _random_instance(rng, max_n, max_d)
-        if not _decides_correctly(inst, cfg):
-            return GadgetValidation(False, cfg, inst)
-    certified = GadgetConfig(cfg.delta)
-    object.__setattr__(certified, "validated", True)
-    return GadgetValidation(True, certified, None)
+    for d in range(1, max_d + 1):
+        if _violation(cfg.delta, d) is not None:
+            ones, zeros = (1,) * d, (0,) * d
+            for b_side in ((zeros, ones), (ones, zeros)):
+                inst = OvInstance._from_checked((ones,), b_side, d)
+                if not _decides_correctly(inst, cfg):
+                    return GadgetValidation(False, cfg, inst)
+            return GadgetValidation(False, cfg, None)
+    return GadgetValidation(True, cfg, None)
 
 
 @cache
 def default_gadget_config() -> GadgetConfig:
-    """Certified delta=1/4 configuration (certification runs once, cached)."""
-    result = validate_gadget_config(GadgetConfig(Rat(1, 4)))
-    if not result.ok:  # pragma: no cover - delta=1/4 is certified by tests
-        raise RuntimeError("default delta=1/4 failed certification")
-    return result.config
+    """The delta = 1/4 configuration, certified at every dimension."""
+    return GadgetConfig(Rat(1, 4))

@@ -143,6 +143,18 @@ class TestSolve:
         )
         assert (code, out) == (0, "no\n")
 
+    def test_frechet_value_builds_no_traversal(self, tmp_path, capsys, monkeypatch):
+        # the value path runs the one-row DP, not the full table and walk
+        def full_table(*_):
+            raise AssertionError("solve frechet built the full table")
+
+        monkeypatch.setattr("ovgeom.cli.frechet_sq", full_table, raising=False)
+        path = tmp_path / "c.txt"
+        path.write_text("2\n3\n0 0\n1 2\n3 4\n2\n0 0\n3 0\n")
+        assert run_cli(capsys, "solve", "frechet", "--in", str(path)) == (
+            0, "sq 16/1\n", ""
+        )
+
     @pytest.mark.parametrize("tau_sq", ["0.5", "1e3", "1/0"])
     def test_tau_sq_outside_the_rational_grammar_exits_two(
         self, tmp_path, capsys, tau_sq

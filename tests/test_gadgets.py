@@ -1,15 +1,18 @@
 """Grid vector gadgets and the disjunction assembly, oracle-validated.
 
-The assembly is sound at every dimension (see the ovgeom.gadgets module
-docstring); the default certification sweeps dimension <= 3 for start-up
-cost, and the tests below certify it, and pin a former straddling
-counterexample, at dimension 4 and beyond.
+``or_gadget`` certifies each (delta, d) by an exact check of which vertex
+types lie within distance 1 (see the ovgeom.gadgets module docstring).
+The tests below hold that check to an all-pairs Fraction reference and
+to the pair-scan oracle: at certified (delta, d) the assembly agrees with
+the oracle, and each uncertified amplitude has a wrongly decided
+counterexample at its first failing dimension.
 """
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import instances
 from ovgeom.core import ov_instance
@@ -49,8 +52,7 @@ class TestGadgetConfig:
     def test_default_is_certified_quarter(self):
         got = default_gadget_config()
         assert got.delta == Fraction(1, 4)
-        assert got.validated
-        assert default_gadget_config() is got  # certification runs once
+        assert default_gadget_config() is got  # built once, cached
 
 
 class TestVectorGadget:
@@ -114,9 +116,17 @@ class TestVectorGadget:
 
 class TestOrGadgetAssembly:
     def test_requires_certified_config(self):
-        inst = ov_instance([(1,)], [(0,)])
-        with pytest.raises(ValueError, match="certified"):
-            or_gadget(inst, GadgetConfig(Fraction(1, 4)))
+        # delta = 1/2 is certified up to d = 3 only: from d = 4 the edge
+        # gadget vertices are more than 1 from s and t.
+        inst = ov_instance([(0, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 0, 0)])
+        with pytest.raises(ValueError, match="delta=1/2 is not certified at d=4: "):
+            or_gadget(inst, GadgetConfig(Fraction(1, 2)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_half_amplitude_builds_below_dimension_four(self, d):
+        inst = ov_instance([(0,) * d], [(0,) * d, (0,) * d])
+        g = or_gadget(inst, GadgetConfig(Fraction(1, 2)))
+        assert frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
 
     def test_certification_cannot_be_passed_in(self):
         # Only validate_gadget_config certifies: delta = 2/3 fails its sweep,
@@ -187,24 +197,72 @@ class TestOrGadgetAssembly:
         assert not frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
 
 
+def _wrongly_decided(inst, cfg):
+    g = gadgets._assemble(inst, cfg)
+    stitched = frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
+    return stitched != (ov_decide(inst) is not None)
+
+
+def _relation_holds(delta, d):
+    """All-pairs reference for the exact check, on Fractions."""
+    cfg = GadgetConfig(delta)
+    a = {(i, x): vector_gadget((x,) * d, "a", cfg)[i] for i in range(d) for x in (0, 1)}
+    b = {(i, y): vector_gadget((y,) * d, "b", cfg)[i] for i in range(d) for y in (0, 1)}
+    near = lambda p, q: (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= 1
+    return (
+        all(
+            near(a[i, x], b[j, y]) == (i == j and not (x and y))
+            for i, x in a for j, y in b
+        )
+        and all(near(v, end) for v in [*a.values(), *b.values()]
+                for end in (S_POINT, T_POINT))
+        and not any(near(v, sync) for v in a.values() for sync in (S_SYNC, T_SYNC))
+        and near(S_POINT, S_SYNC) and not near(T_POINT, S_SYNC)
+        and near(T_POINT, T_SYNC) and not near(S_POINT, T_SYNC)
+    )
+
+
+class TestExactCertification:
+    @pytest.mark.parametrize(
+        "delta", ["1/8", "1/4", "1/3", "3/8", "1/2", "2/3", "9/10"]
+    )
+    def test_matches_all_pairs_relation(self, delta):
+        delta = Fraction(delta)
+        got = [gadgets._violation(delta, d) is None for d in range(1, 17)]
+        assert got == [_relation_holds(delta, d) for d in range(1, 17)]
+
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=16).filter(
+            lambda r: 0 < r < 1
+        ),
+        instances(max_n=3, max_d=6),
+    )
+    def test_certified_gadget_agrees_with_oracle(self, delta, inst):
+        cfg = GadgetConfig(delta)
+        try:
+            g = or_gadget(inst, cfg)
+        except ValueError:
+            assert not _relation_holds(delta, inst.d)
+            return
+        got = frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
+        assert got == (ov_decide(inst) is not None)
+
+
 class TestValidateGadgetConfig:
     def test_quarter_certifies(self):
-        result = validate_gadget_config(GadgetConfig(Fraction(1, 4)), trials=32)
+        result = validate_gadget_config(GadgetConfig(Fraction(1, 4)))
         assert result.ok
-        assert result.config.validated
+        assert result.config == GadgetConfig(Fraction(1, 4))
         assert result.counterexample is None
 
     def test_one_third_fails_with_counterexample(self):
         # The certification is not vacuous: at delta = 2/3 a one-dimensional
         # b-vertex carrying a 1 bit is out of reach of s and t, so an
         # instance with an orthogonal pair decides a false no.  (delta = 1/3
-        # certifies on the grid layout, even up to dimension 6.)
-        assert validate_gadget_config(
-            GadgetConfig(Fraction(1, 3)), trials=400, max_d=6
-        ).ok
-        result = validate_gadget_config(GadgetConfig(Fraction(2, 3)), trials=0)
+        # certifies on the grid layout at every dimension.)
+        assert validate_gadget_config(GadgetConfig(Fraction(1, 3))).ok
+        result = validate_gadget_config(GadgetConfig(Fraction(2, 3)))
         assert not result.ok
-        assert not result.config.validated
         inst = result.counterexample
         assert inst == ov_instance([(1,)], [(0,), (1,)])
         g = gadgets._assemble(inst, GadgetConfig(Fraction(2, 3)))
@@ -212,10 +270,33 @@ class TestValidateGadgetConfig:
         assert ov_decide(inst) is not None and not stitched
 
     def test_wider_dimension_fails_given_enough_trials(self):
-        # Named for the parity-zigzag era, when this sweep found a d >= 4
-        # false positive; the grid layout certifies the wider domain.
-        result = validate_gadget_config(
-            GadgetConfig(Fraction(1, 4)), trials=400, max_n=6, max_d=4, seed=0
-        )
+        # Named for the parity-zigzag era, when a sampled sweep found a
+        # d >= 4 false positive; the grid layout certifies the wider domain.
+        result = validate_gadget_config(GadgetConfig(Fraction(1, 4)), max_d=4)
         assert result.ok
         assert result.counterexample is None
+
+    def test_half_fails_at_dimension_four(self):
+        cfg = GadgetConfig(Fraction(1, 2))
+        assert validate_gadget_config(cfg, max_d=3).ok
+        result = validate_gadget_config(cfg)
+        assert not result.ok
+        assert result.counterexample.d == 4
+        assert _wrongly_decided(result.counterexample, cfg)
+
+    def test_three_eighths_fails_first_at_dimension_42(self, monkeypatch):
+        cfg = GadgetConfig(Fraction(3, 8))
+        assert validate_gadget_config(cfg, max_d=41).ok
+        # the counterexample comes from a short candidate list: no
+        # instances are enumerated at the failing dimension
+        calls = []
+        decides = gadgets._decides_correctly
+        monkeypatch.setattr(
+            gadgets, "_decides_correctly",
+            lambda inst, c: calls.append(inst) or decides(inst, c),
+        )
+        result = validate_gadget_config(cfg, max_d=42)
+        assert not result.ok
+        assert result.counterexample.d == 42
+        assert _wrongly_decided(result.counterexample, cfg)
+        assert len(calls) <= 2

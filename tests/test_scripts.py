@@ -41,7 +41,7 @@ def test_scaling_experiment_quick_writes_one_summary_row_per_size(tmp_path):
 
 
 def test_gadget_delta_sweep_certifies_a_quarter_and_fails_two_thirds():
-    proc = run_script("gadget_delta_sweep.py", "--deltas", "1/4,2/3", "--trials", "8")
+    proc = run_script("gadget_delta_sweep.py", "--deltas", "1/4,2/3", "--max-d", "8")
     assert proc.returncode == 1, proc.stderr
     verdicts = [line.split()[:2] for line in proc.stdout.splitlines()
                 if line.startswith("delta=")]
@@ -61,7 +61,7 @@ def test_gadget_delta_sweep_rejects_a_bad_delta_with_a_usage_error(token):
 @pytest.mark.parametrize(
     "name, args",
     [
-        ("gadget_delta_sweep.py", ["--deltas", "1/4", "--trials", "1_0"]),
+        ("gadget_delta_sweep.py", ["--deltas", "1/4", "--max-d", "1_0"]),
         ("gadget_delta_sweep.py", ["--deltas", "1/4", "--max-d", "\u0663"]),
         ("scaling_experiment.py", ["--quick", "--repeats", "0", "--seed", "\u0667"]),
         ("scaling_experiment.py", ["--quick", "--repeats", "0_0"]),
