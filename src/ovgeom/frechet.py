@@ -15,7 +15,9 @@ bottleneck recurrence (Eiter & Mannila 1994).  Three routes are provided:
                            the curve scan of ``ovgeom.proximity``,
 * ``frechet_decide``    -- threshold decision as reachability on bit rows:
                            one big-int row per vertex of p, filled by
-                           addition over the mask of in-threshold cells.
+                           addition over the mask of in-threshold cells;
+                           its grid-level core ``_grid_decide`` also serves
+                           ``ovgeom.verify`` on the reductions' own grids.
 
 ``brute_force_frechet_sq`` enumerates every monotone traversal and is the
 reference oracle for the dynamic programs; it is exponential and refuses
@@ -145,21 +147,16 @@ def frechet_sq_value(p, q) -> SqDist:
     return Rat(_grid_value(ip, iq), scale * scale)
 
 
-def frechet_decide(p, q, tau_sq) -> bool:
-    """Is the squared discrete Fréchet distance at most tau_sq?
+def _grid_decide(ip, iq, limit: int) -> bool:
+    """Is the squared discrete Fréchet distance of two grid curves <= limit?
 
     Reachability over the cells whose squared vertex distance is within the
-    threshold, one big-int row per vertex of p: bit j of a row stands for
-    cell (i, j).  Within a run of in-threshold cells a walk only moves right,
-    so one addition carries the lowest entry point of each run to its end
-    (the bit-vector idea of Myers, JACM 1999).  A row with no entry point
-    ends the walk early.
+    limit, one big-int row per vertex of ip: bit j of a row stands for cell
+    (i, j).  Within a run of in-threshold cells a walk only moves right, so
+    one addition carries the lowest entry point of each run to its end (the
+    bit-vector idea of Myers, JACM 1999).  A row with no entry point ends
+    the walk early.
     """
-    p, q = curve(p), curve(q)
-    tau_sq = sq_dist(tau_sq)
-    (ip, iq), scale = as_integer_grid([p, q])
-    # an int grid distance is <= tau_sq * scale**2 iff it is <= its floor
-    limit = floor(tau_sq * scale * scale)
     rq = iq[::-1]  # the mask string's last character is bit 0, vertex 0 of q
     oks: dict[tuple[int, int], int] = {}  # in-threshold mask per distinct vertex
     seed = 1
@@ -175,6 +172,15 @@ def frechet_decide(p, q, tau_sq) -> bool:
         reach = ok & ((ok ^ (ok + seed)) | seed)
         seed = reach | reach << 1
     return bool(reach >> (len(iq) - 1) & 1)
+
+
+def frechet_decide(p, q, tau_sq) -> bool:
+    """Is the squared discrete Fréchet distance at most tau_sq?"""
+    p, q = curve(p), curve(q)
+    tau_sq = sq_dist(tau_sq)
+    (ip, iq), scale = as_integer_grid([p, q])
+    # an int grid distance is <= tau_sq * scale**2 iff it is <= its floor
+    return _grid_decide(ip, iq, floor(tau_sq * scale * scale))
 
 
 def brute_force_frechet_sq(p, q, max_total: int = 16) -> SqDist:

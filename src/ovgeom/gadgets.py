@@ -51,7 +51,8 @@ Certification, not trust
 The argument uses only which vertex types are within 1 of each other:
 a(i, x) of b(j, y) iff i = j and not x = y = 1, plus the facts about s,
 t and the sync points above.  ``or_gadget`` checks this relation exactly
-on the integer grid, once per (delta, d).  The binding pairs are
+on the integer grid, once per (delta, d), on the cached table of vertex
+types that also fills every gadget curve.  The binding pairs are
 a(d-1, 1) and b(d-1, 1) against s, so (delta, d) is certified iff
 (1/2 + delta - delta/d)^2 + (1/2 + delta^2/d^2)^2 <= 1.  The left side
 never exceeds (1/2 + delta)^2 + 1/4, so delta <= (sqrt(3) - 1)/2 ~ 0.366
@@ -123,19 +124,6 @@ class OrGadget:
     tau_sq: SqDist
 
 
-@lru_cache(maxsize=128)
-def _layout(delta: Rat, d: int, side: str) -> tuple[tuple, tuple]:
-    """x-grid of a d-vector gadget and the side's y for bit 0 and bit 1,
-    built once per (delta, d, side)."""
-    step = delta / d
-    bump = step * step
-    half = Rat(1, 2)
-    xs = tuple(step * (2 * i - (d - 1)) for i in range(d))
-    if side == "a":
-        return xs, (half - bump, half + bump)
-    return xs, (bump - half, -half - bump)
-
-
 def vector_gadget(z: BitVector, side: str, cfg: GadgetConfig) -> Curve2:
     """Grid curve for one vector; ``side`` selects the upper ('a') or
     lower ('b') baseline."""
@@ -143,8 +131,7 @@ def vector_gadget(z: BitVector, side: str, cfg: GadgetConfig) -> Curve2:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     if not z:
         raise ValueError("vector gadget needs a non-empty vector")
-    xs, ys = _layout(cfg.delta, len(z), side)
-    return tuple(zip(xs, [ys[bit] for bit in z]))
+    return tuple(_gadget(_tables(cfg.delta, len(z))[0], 4 if side == "a" else 6, z))
 
 
 def _required_relation(d: int):
@@ -167,13 +154,29 @@ def _required_relation(d: int):
 
 
 @lru_cache(maxsize=256)
+def _tables(delta: Rat, d: int) -> tuple[tuple, tuple, int]:
+    """The (delta, d) gadget pair's vertex types as rationals, the same on
+    one integer grid, and the grid scale.  Entries 0-3 are s, t, s_sync,
+    t_sync; entry 4 + 4i + 2side + x is index i, bit x, of side a (0) or b (1)."""
+    step = delta / d
+    bump, half = step * step, Rat(1, 2)
+    ys = (half - bump, half + bump, bump - half, -half - bump)
+    cells = [(step * (2 * i - (d - 1)), y) for i in range(d) for y in ys]
+    rat = (S_POINT, T_POINT, S_SYNC, T_SYNC, *cells)
+    [grid], scale = as_integer_grid([rat])
+    return rat, tuple(grid), scale
+
+
+def _gadget(table: tuple, first: int, z: BitVector) -> list:
+    """z's vector gadget from a vertex-type table (side a from entry 4, b from 6)."""
+    return [table[first + 4 * i + bit] for i, bit in enumerate(z)]
+
+
+@lru_cache(maxsize=256)
 def _violation(delta: Rat, d: int) -> str | None:
     """The first vertex-type pair that breaks the relation the module
     docstring's argument needs at (delta, d), or None."""
-    xs, ys_a = _layout(delta, d, "a")
-    _, ys_b = _layout(delta, d, "b")
-    cells = [(x, y) for x in xs for y in ys_a + ys_b]
-    [grid], scale = as_integer_grid([[S_POINT, T_POINT, S_SYNC, T_SYNC, *cells]])
+    _, grid, scale = _tables(delta, d)
     names = ["s", "t", "s_sync", "t_sync"]
     names += [f"{side}({i},{x})" for i in range(d) for side in "ab" for x in (0, 1)]
     vertex = dict(zip(names, grid))
@@ -183,17 +186,26 @@ def _violation(delta: Rat, d: int) -> str | None:
     return None
 
 
-def _assemble(inst: OvInstance, cfg: GadgetConfig) -> OrGadget:
+def _assemble(inst: OvInstance, table) -> tuple[list, list]:
+    """The disjunction curve pair of ``inst``, filled from a vertex-type table."""
+    s, t, s_sync, t_sync = table[:4]
     curve_a: list = []
     for a in inst.a_side:
-        curve_a.append(S_POINT)
-        curve_a.extend(vector_gadget(a, "a", cfg))
-        curve_a.append(T_POINT)
-    curve_b: list = [S_POINT, S_SYNC]
+        curve_a += (s, *_gadget(table, 4, a), t)
+    curve_b: list = [s, s_sync]
     for b in inst.b_side:
-        curve_b.extend(vector_gadget(b, "b", cfg))
-    curve_b.extend((T_SYNC, T_POINT))
-    return OrGadget(tuple(curve_a), tuple(curve_b), Rat(1))
+        curve_b += _gadget(table, 6, b)
+    curve_b += (t_sync, t)
+    return curve_a, curve_b
+
+
+def _certified_tables(cfg: GadgetConfig, d: int) -> tuple[tuple, tuple, int]:
+    violation = _violation(cfg.delta, d)
+    if violation is not None:
+        raise ValueError(
+            f"gadget delta={cfg.delta} is not certified at d={d}: {violation}"
+        )
+    return _tables(cfg.delta, d)
 
 
 def or_gadget(inst: OvInstance, cfg: GadgetConfig) -> OrGadget:
@@ -203,18 +215,13 @@ def or_gadget(inst: OvInstance, cfg: GadgetConfig) -> OrGadget:
     ``ValueError`` naming the broken vertex-type pair when the instance's
     dimension is outside the amplitude's certified range.
     """
-    violation = _violation(cfg.delta, inst.d)
-    if violation is not None:
-        raise ValueError(
-            f"gadget delta={cfg.delta} is not certified at d={inst.d}: {violation}"
-        )
-    return _assemble(inst, cfg)
+    curve_a, curve_b = _assemble(inst, _certified_tables(cfg, inst.d)[0])
+    return OrGadget(tuple(curve_a), tuple(curve_b), Rat(1))
 
 
 def _decides_correctly(inst: OvInstance, cfg: GadgetConfig) -> bool:
-    g = _assemble(inst, cfg)
-    stitched = frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
-    return stitched == (ov_decide(inst) is not None)
+    curve_a, curve_b = _assemble(inst, _tables(cfg.delta, inst.d)[0])
+    return frechet_decide(curve_a, curve_b, 1) == (ov_decide(inst) is not None)
 
 
 def validate_gadget_config(cfg: GadgetConfig, max_d: int = 64) -> GadgetValidation:

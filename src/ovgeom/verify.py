@@ -13,6 +13,10 @@ frechet-embed   per-pair curve-distance decisions over the curve embedding.
 ov-to-frechet   single curve-pair decision on the OR-gadget assembly.
 unbalanced-nn   nearest-neighbor structure on the embedded A side, queried
                 with every embedded B point.
+
+The two Fréchet kinds decide on the integer grid their reduction is built
+on, with no Fraction per call: the curve embedding is built on ints, and
+the gadget's vertex types are gridded once per (delta, d).
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass
 from math import floor
 
 from .core import OvInstance, as_integer_grid, squared_euclidean
-from .embed import embed_euclid, embed_frechet
-from .frechet import frechet_decide
+from .embed import _grid_curve_a, _grid_curve_b, embed_euclid
+from .frechet import _grid_decide
 from .formats import format_instance
-from .gadgets import default_gadget_config, or_gadget
+from .gadgets import _assemble, _certified_tables, default_gadget_config
 from .generate import GenSpec, generate
 from .ov import ov_decide
 from .proximity import bcp_euclid, nn_build, nn_query
@@ -100,17 +104,17 @@ def _solve_bcp(inst: OvInstance) -> bool:
 
 
 def _solve_frechet_pairs(inst: OvInstance) -> bool:
-    emb = embed_frechet(inst)
+    # the curve embedding's grid has scale 1, so its threshold 1 is the limit
+    curves_b = [_grid_curve_b(b) for b in inst.b_side]
     return any(
-        frechet_decide(p, q, emb.tau_sq)
-        for p in emb.curves_a
-        for q in emb.curves_b
+        _grid_decide(p, q, 1) for p in map(_grid_curve_a, inst.a_side) for q in curves_b
     )
 
 
 def _solve_or_gadget(inst: OvInstance) -> bool:
-    out = or_gadget(inst, default_gadget_config())
-    return frechet_decide(out.curve_a, out.curve_b, out.tau_sq)
+    _, grid, scale = _certified_tables(default_gadget_config(), inst.d)
+    # the gadget's threshold 1 is scale**2 on its grid
+    return _grid_decide(*_assemble(inst, grid), scale * scale)
 
 
 def _solve_unbalanced_nn(inst: OvInstance) -> bool:
@@ -185,8 +189,14 @@ def run_verify(
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown reduction kind {kind!r}; pick from {KINDS}")
+    if corrupt_kind is not None and corrupt_kind not in kinds:
+        raise ValueError(f"corrupt kind {corrupt_kind!r} is not among the kinds run")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    caps = caps or VerifyCaps()
+    for name, value, cap in ("max_n", max_n, caps.max_n), ("max_d", max_d, caps.max_d):
+        if not 1 <= value <= cap:
+            raise ValueError(f"{name} must be between 1 and {cap}, got {value}")
     rng = random.Random(f"{seed}:verify-sweep")
     reports: list[ReductionReport] = []
     for trial in range(trials):

@@ -502,6 +502,20 @@ class TestVerify:
         assert out.splitlines()[0].startswith("kind,instance_id,")
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--corrupt-kind", "bogus", "--trials", "2"],
+            ["--kinds", "euclid-embed", "--corrupt-kind", "ov-to-bcp", "--trials", "2"],
+            ["--max-n", "0"],
+            ["--max-d", "40", "--trials", "50"],
+        ],
+    )
+    def test_argument_that_would_mislead_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("ovgeom: error: ") and "Traceback" not in err
+
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--kinds", "bogus", "--trials", "1")
         assert code == 2

@@ -198,8 +198,8 @@ class TestOrGadgetAssembly:
 
 
 def _wrongly_decided(inst, cfg):
-    g = gadgets._assemble(inst, cfg)
-    stitched = frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
+    curve_a, curve_b = gadgets._assemble(inst, gadgets._tables(cfg.delta, inst.d)[0])
+    stitched = frechet_decide(curve_a, curve_b, 1)
     return stitched != (ov_decide(inst) is not None)
 
 
@@ -220,6 +220,27 @@ def _relation_holds(delta, d):
         and near(S_POINT, S_SYNC) and not near(T_POINT, S_SYNC)
         and near(T_POINT, T_SYNC) and not near(S_POINT, T_SYNC)
     )
+
+
+class TestGridTable:
+    """One vertex-type table per (delta, d) serves both assemblies."""
+
+    @pytest.mark.parametrize("delta", ["1/4", "3/8", "1/2"])
+    def test_grid_over_scale_is_the_rational_layout(self, delta):
+        # the module docstring's formula, side a above the x-axis, b below
+        delta = Fraction(delta)
+        for d in range(1, 17):
+            step = delta / d
+            expected = [S_POINT, T_POINT, S_SYNC, T_SYNC]
+            for i in range(d):
+                for sign in (1, -1):
+                    expected += [
+                        ((2 * i - (d - 1)) * step, sign * (Fraction(1, 2) - (-1) ** x * step**2))
+                        for x in (0, 1)
+                    ]
+            rat, grid, scale = gadgets._tables(delta, d)
+            assert [(Fraction(x, scale), Fraction(y, scale)) for x, y in grid] == expected
+            assert rat == tuple(expected)
 
 
 class TestExactCertification:
@@ -265,8 +286,8 @@ class TestValidateGadgetConfig:
         assert not result.ok
         inst = result.counterexample
         assert inst == ov_instance([(1,)], [(0,), (1,)])
-        g = gadgets._assemble(inst, GadgetConfig(Fraction(2, 3)))
-        stitched = frechet_decide(g.curve_a, g.curve_b, g.tau_sq)
+        table = gadgets._tables(Fraction(2, 3), inst.d)[0]
+        stitched = frechet_decide(*gadgets._assemble(inst, table), 1)
         assert ov_decide(inst) is not None and not stitched
 
     def test_wider_dimension_fails_given_enough_trials(self):

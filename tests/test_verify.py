@@ -1,9 +1,16 @@
 """Reduction-verification harness: agreement, caps, and the corrupt hook."""
 
 import pytest
+from hypothesis import example, given
 
+from conftest import instances
 from ovgeom.core import ov_instance
+from ovgeom.embed import embed_frechet
+from ovgeom.frechet import frechet_decide
+from ovgeom.gadgets import default_gadget_config, or_gadget
 from ovgeom.generate import GenSpec, generate
+from ovgeom.ov import ov_decide
+from ovgeom import verify
 from ovgeom.verify import (
     KINDS,
     VerifyCaps,
@@ -110,6 +117,42 @@ class TestRunVerify:
         with pytest.raises(ValueError, match="trials"):
             run_verify(trials=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"corrupt_kind": "bogus"}, "corrupt kind 'bogus' is not among"),
+            (
+                {"kinds": ("euclid-embed",), "corrupt_kind": "ov-to-bcp"},
+                "corrupt kind 'ov-to-bcp' is not among the kinds run",
+            ),
+            ({"kinds": (), "corrupt_kind": "ov-to-bcp"}, "not among the kinds run"),
+        ],
+    )
+    def test_rejects_a_corrupt_kind_that_would_flip_nothing(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_verify(trials=2, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_n": 0}, "max_n must be between 1 and 64, got 0"),
+            ({"max_n": 65}, "max_n must be between 1 and 64, got 65"),
+            ({"max_d": 0}, "max_d must be between 1 and 16, got 0"),
+            ({"max_d": 40}, "max_d must be between 1 and 16, got 40"),
+            ({"max_d": 5, "caps": VerifyCaps(max_d=4)}, "between 1 and 4, got 5"),
+        ],
+    )
+    def test_rejects_sizes_outside_caps_before_any_trial(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_verify(trials=50, **kwargs)
+
+    def test_sizes_at_the_caps_run(self):
+        reports = run_verify(
+            kinds=("ov-to-bcp",), trials=1, max_n=2, max_d=2,
+            caps=VerifyCaps(max_n=2, max_d=2),
+        )
+        assert len(reports) == 1 and reports[0].agree
+
     def test_wide_dimension_disagreements_are_gadget_false_positives(self):
         """The former hole, disjunction-gadget yes on no-instances, is shut.
 
@@ -146,3 +189,32 @@ class TestReportRendering:
         )
         assert len(lines) == 5
         assert all(line.split(",")[7] == "1" for line in lines[1:])
+
+
+def _public_answers(inst):
+    """Both Fréchet kinds composed from the public rational calls."""
+    emb = embed_frechet(inst)
+    g = or_gadget(inst, default_gadget_config())
+    return (
+        any(frechet_decide(p, q, emb.tau_sq) for p in emb.curves_a for q in emb.curves_b),
+        frechet_decide(g.curve_a, g.curve_b, g.tau_sq),
+    )
+
+
+class TestGridDecisions:
+    """The Fréchet kinds decide on the reductions' integer grids; they must
+    answer exactly what the public rational composition answers."""
+
+    @given(instances(max_n=4, max_d=8))
+    @example(ov_instance([(1,)], [(1,)]))
+    @example(ov_instance([(1,)], [(0,)]))
+    @example(ov_instance([(1, 1, 1, 1)], [(1, 0, 0, 0), (0, 0, 1, 0)]))
+    def test_match_the_public_composition(self, inst):
+        got = (verify._solve_frechet_pairs(inst), verify._solve_or_gadget(inst))
+        assert got == _public_answers(inst) == (ov_decide(inst) is not None,) * 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_orthogonal_family_decides_no(self, seed):
+        inst = generate(GenSpec("no-orthogonal", n=4, d=8, seed=seed))
+        got = (verify._solve_frechet_pairs(inst), verify._solve_or_gadget(inst))
+        assert got == _public_answers(inst) == (False, False)
