@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .core import Curve2, Rat, curve, point
+from .core import Curve2, curve, point
 from .embed import embed_euclid, embed_frechet
 from .formats import format_rat
 from .frechet import frechet_sq_value
@@ -48,7 +48,7 @@ def _walk_curve(rng: random.Random, n: int) -> Curve2:
     x, y = 0, 0
     verts = []
     for _ in range(n):
-        verts.append((Rat(x), Rat(y)))
+        verts.append((x, y))
         x += rng.randint(-3, 3)
         y += rng.randint(-3, 3)
     return curve(verts)

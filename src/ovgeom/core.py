@@ -2,14 +2,19 @@
 
 Everything downstream (solvers, embeddings, proximity structures) compares
 squared distances, never square roots, so all geometry here is carried out
-in exact rational arithmetic.  ``Rat`` is the single number type; it is the
-standard-library ``fractions.Fraction``, which already guarantees lowest
-terms and a positive denominator.
+in exact rational arithmetic.  ``Rat`` is the standard-library
+``fractions.Fraction``, which already guarantees lowest terms and a
+positive denominator.
 
 Conventions
 -----------
 * Bit vectors are tuples of 0/1 ints, all of one instance sharing length d.
-* Points are tuples of ``Rat``; planar curves are non-empty tuples of
+* A coordinate is an ``int``, or a ``Rat`` for a non-integer value.  An
+  int is already exact, has the ``numerator`` and ``denominator`` that
+  ``as_integer_grid`` reads, and equals and hashes as its ``Rat``, so the
+  package builds a ``Rat`` only for a non-integer value.  Results (squared
+  distances, thresholds) are always ``Rat``.
+* Points are tuples of coordinates; planar curves are non-empty tuples of
   2-d points.
 * All containers are immutable, so every type here is safe to share
   between threads.
@@ -43,8 +48,8 @@ __all__ = [
 # construction); it is not a distinct runtime type.
 SqDist = Rat
 BitVector = tuple[int, ...]
-PointD = tuple[Rat, ...]
-Point2 = tuple[Rat, Rat]
+PointD = tuple[int | Rat, ...]
+Point2 = tuple[int | Rat, int | Rat]
 Curve2 = tuple[Point2, ...]
 
 
@@ -62,10 +67,14 @@ def bit_vector(bits) -> BitVector:
     return tuple(map(int, vec))
 
 
+_EXACT = (int, Rat)
+
+
 def point(coords) -> PointD:
     """Freeze a coordinate sequence into a point of exact rationals."""
-    # A Rat is immutable, so one that arrives as a Rat is kept, not rebuilt.
-    pt = tuple(c if type(c) is Rat else Rat(c) for c in coords)
+    # An int or a Rat is immutable, so it is kept; a bool, float, str or
+    # other number becomes a Rat.
+    pt = tuple(c if type(c) in _EXACT else Rat(c) for c in coords)
     if not pt:
         raise ValueError("point must have dimension >= 1")
     return pt
@@ -179,16 +188,17 @@ def as_integer_grid(
     """Rescale groups of rational points onto one common integer grid.
 
     ``groups`` is a sequence of point sequences of any dimension (a planar
-    curve is one such group).  Returns the groups with every coordinate x
-    replaced by the int x·L, plus the grid scale L: the least common
-    multiple of ``scale`` and of every coordinate's denominator.  Squared
-    distances on the grid are the original squared distances times L**2,
-    exactly.
+    curve is one such group), with ``int`` or ``Rat`` coordinates.  Returns
+    the groups with every coordinate x replaced by the int x·L, plus the
+    grid scale L: the least common multiple of ``scale`` and of every
+    coordinate's denominator (1 for an int).  Squared distances on the grid
+    are the original squared distances times L**2, exactly.
 
     This is the package's one rational-to-integer boundary: the Fréchet
     dynamic programs, closest-pair scans and nearest-neighbour structures
-    run on these ints, and Fractions appear only where input is parsed and
-    where a result leaves as ``Rat(total, L * L)``.
+    run on these ints, and Fractions appear only where a non-integer
+    coordinate is parsed or built and where a result leaves as
+    ``Rat(total, L * L)``.
     """
     dens = {x.denominator for g in groups for p in g for x in p}
     grid = lcm(scale, *dens)

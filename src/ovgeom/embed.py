@@ -16,12 +16,14 @@ with nothing in between, so the threshold needs no slack.
 Curve embedding
 ---------------
 The same y-values are spread along x = 3, 6, 9, ...: vector a becomes the
-curve ((3i, 1 + 2*a_i))_i and b becomes ((3i, 2 - 2*b_i))_i, built on ints
-(an integer grid of scale 1) and viewed as rationals by ``embed_frechet``.
-Vertices with different x are at distance >= 3, so a threshold-1 traversal
-can only move diagonally, and the pairwise y-gaps reproduce the point
+curve ((3i, 1 + 2*a_i))_i and b becomes ((3i, 2 - 2*b_i))_i.  Vertices
+with different x are at distance >= 3, so a threshold-1 traversal can
+only move diagonally, and the pairwise y-gaps reproduce the point
 embedding's gap: the squared curve distance is 1 exactly for orthogonal
 pairs and at least 9 otherwise.
+
+Both embeddings emit int coordinates, so each is already on the integer
+grid of scale 1; only the thresholds are ``Rat``.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ class FrechetEmbedding:
 
 
 def embed_point_a(a: BitVector) -> PointD:
-    return tuple(Rat(1 + 2 * bit) for bit in a)
+    return tuple(1 + 2 * bit for bit in a)
 
 
 def embed_point_b(b: BitVector) -> PointD:
-    return tuple(Rat(2 - 2 * bit) for bit in b)
+    return tuple(2 - 2 * bit for bit in b)
 
 
 def embed_euclid(inst: OvInstance) -> EuclidEmbedding:
@@ -80,20 +82,12 @@ def embed_euclid(inst: OvInstance) -> EuclidEmbedding:
     )
 
 
-def _grid_curve_a(a: BitVector) -> tuple[tuple[int, int], ...]:
+def embed_curve_a(a: BitVector) -> Curve2:
     return tuple((3 * i, 1 + 2 * bit) for i, bit in enumerate(a, 1))
 
 
-def _grid_curve_b(b: BitVector) -> tuple[tuple[int, int], ...]:
-    return tuple((3 * i, 2 - 2 * bit) for i, bit in enumerate(b, 1))
-
-
-def embed_curve_a(a: BitVector) -> Curve2:
-    return tuple((Rat(x), Rat(y)) for x, y in _grid_curve_a(a))
-
-
 def embed_curve_b(b: BitVector) -> Curve2:
-    return tuple((Rat(x), Rat(y)) for x, y in _grid_curve_b(b))
+    return tuple((3 * i, 2 - 2 * bit) for i, bit in enumerate(b, 1))
 
 
 def embed_frechet(inst: OvInstance) -> FrechetEmbedding:

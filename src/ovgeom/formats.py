@@ -7,7 +7,9 @@ lowest terms.  An integer token (a count or a bit) is ``[+-]?[0-9]+`` in
 ASCII digits; a rational token is an integer token or
 ``[+-]?[0-9]+/[0-9]+``, with a nonzero denominator.  No token takes a
 decimal point, exponent, underscore or other form; ``parse_int`` and
-``parse_rat`` read one token each, for the command-line flags too.  Counts
+``parse_rat`` read one token each, for the command-line flags too.
+``parse_rat`` returns an ``int`` for an integer token and a ``Rat`` for a
+``num/den`` token, the coordinate types of ``ovgeom.core``.  Counts
 on header lines describe how many rows follow; positions within files are
 1-based when a human needs to point at them, but nothing in the formats
 stores indices.
@@ -56,12 +58,12 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _RAT = re.compile(rf"({_INT_TOKEN.pattern})(?:/(0*[1-9][0-9]*))?")
 
 
-def parse_rat(token: str) -> Rat:
+def parse_rat(token: str) -> int | Rat:
     m = _RAT.fullmatch(token)
     if m is None:
         raise FormatError(f"bad rational token {token!r}")
     num, den = m.groups()
-    return Rat(int(num), int(den)) if den else Rat(int(num))
+    return Rat(int(num), int(den)) if den else int(num)
 
 
 def parse_int(token: str) -> int:
@@ -134,6 +136,8 @@ def parse_instance(text: str) -> OvInstance:
 
 def format_curve_set(curves, header: str | None = None) -> str:
     curves = [curve(c) for c in curves]
+    if not curves:
+        raise FormatError("curve set must be non-empty")
     lines = _comments(header)
     lines.append(str(len(curves)))
     for c in curves:
@@ -163,7 +167,7 @@ def parse_curve_set(text: str) -> tuple[Curve2, ...]:
             if len(row) != 2:
                 raise FormatError(f"curve vertex needs 2 coordinates, got {row!r}")
             verts.append((parse_rat(row[0]), parse_rat(row[1])))
-        out.append(curve(verts))
+        out.append(tuple(verts))
         at += 1 + n
     if at != len(rows):
         raise FormatError("trailing rows after curve set")

@@ -14,9 +14,9 @@ ov-to-frechet   single curve-pair decision on the OR-gadget assembly.
 unbalanced-nn   nearest-neighbor structure on the embedded A side, queried
                 with every embedded B point.
 
-The two Fréchet kinds decide on the integer grid their reduction is built
-on, with no Fraction per call: the curve embedding is built on ints, and
-the gadget's vertex types are gridded once per (delta, d).
+The embeddings emit int coordinates, so euclid-embed and frechet-embed
+decide on them as they are, and ov-to-frechet on the gadget's vertex types
+gridded once per (delta, d); none of the three builds a Fraction.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
-from math import floor
 
-from .core import OvInstance, as_integer_grid, squared_euclidean
-from .embed import _grid_curve_a, _grid_curve_b, embed_euclid
+from .core import OvInstance, squared_euclidean
+from .embed import embed_euclid, embed_frechet
 from .frechet import _grid_decide
 from .formats import format_instance
 from .gadgets import _assemble, _certified_tables, default_gadget_config
@@ -39,29 +38,13 @@ from .proximity import bcp_euclid, nn_build, nn_query
 __all__ = [
     "KINDS",
     "ReductionReport",
-    "VerifyCaps",
     "agreement_table",
     "run_verify",
     "verify_reduction",
 ]
 
 _VERIFY_FAMILIES = ("uniform-random", "planted-orthogonal", "no-orthogonal")
-
-
-@dataclass(frozen=True)
-class VerifyCaps:
-    """Instance-size limits keeping every oracle run desk-scale."""
-
-    max_n: int = 64
-    max_d: int = 16
-
-    def check(self, inst: OvInstance) -> None:
-        if inst.n_a > self.max_n or inst.n_b > self.max_n:
-            raise ValueError(
-                f"instance sides {inst.n_a}x{inst.n_b} exceed cap {self.max_n}"
-            )
-        if inst.d > self.max_d:
-            raise ValueError(f"dimension {inst.d} exceeds cap {self.max_d}")
+_MAX_N, _MAX_D = 64, 16  # instance-size caps keeping every oracle run desk-scale
 
 
 @dataclass(frozen=True)
@@ -89,12 +72,10 @@ def instance_id(inst: OvInstance) -> str:
 
 
 def _solve_euclid_pairs(inst: OvInstance) -> bool:
+    # the point embedding is on the integer grid of scale 1; tau_sq = d
     emb = embed_euclid(inst)
-    (grid_a, grid_b), scale = as_integer_grid([emb.points_a, emb.points_b])
-    # an int grid distance is <= tau_sq * scale**2 iff it is <= its floor
-    limit = floor(emb.tau_sq * scale * scale)
     return any(
-        squared_euclidean(p, q) <= limit for p in grid_a for q in grid_b
+        squared_euclidean(p, q) <= inst.d for p in emb.points_a for q in emb.points_b
     )
 
 
@@ -105,10 +86,8 @@ def _solve_bcp(inst: OvInstance) -> bool:
 
 def _solve_frechet_pairs(inst: OvInstance) -> bool:
     # the curve embedding's grid has scale 1, so its threshold 1 is the limit
-    curves_b = [_grid_curve_b(b) for b in inst.b_side]
-    return any(
-        _grid_decide(p, q, 1) for p in map(_grid_curve_a, inst.a_side) for q in curves_b
-    )
+    emb = embed_frechet(inst)
+    return any(_grid_decide(p, q, 1) for p in emb.curves_a for q in emb.curves_b)
 
 
 def _solve_or_gadget(inst: OvInstance) -> bool:
@@ -136,7 +115,6 @@ KINDS = tuple(_SOLVERS)
 def verify_reduction(
     kind: str,
     inst: OvInstance,
-    caps: VerifyCaps | None = None,
     _flip: bool = False,
 ) -> ReductionReport:
     """Run one reduction and compare its decision with the pair-scan oracle.
@@ -146,8 +124,10 @@ def verify_reduction(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown reduction kind {kind!r}; pick from {KINDS}")
-    caps = caps or VerifyCaps()
-    caps.check(inst)
+    if inst.n_a > _MAX_N or inst.n_b > _MAX_N:
+        raise ValueError(f"instance sides {inst.n_a}x{inst.n_b} exceed cap {_MAX_N}")
+    if inst.d > _MAX_D:
+        raise ValueError(f"dimension {inst.d} exceeds cap {_MAX_D}")
 
     t0 = time.perf_counter_ns()
     oracle_answer = ov_decide(inst) is not None
@@ -176,7 +156,6 @@ def run_verify(
     max_n: int = 8,
     max_d: int = 6,
     seed: int = 0,
-    caps: VerifyCaps | None = None,
     corrupt_kind: str | None = None,
 ) -> list[ReductionReport]:
     """Sweep random instances through every requested kind.
@@ -193,8 +172,7 @@ def run_verify(
         raise ValueError(f"corrupt kind {corrupt_kind!r} is not among the kinds run")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    caps = caps or VerifyCaps()
-    for name, value, cap in ("max_n", max_n, caps.max_n), ("max_d", max_d, caps.max_d):
+    for name, value, cap in ("max_n", max_n, _MAX_N), ("max_d", max_d, _MAX_D):
         if not 1 <= value <= cap:
             raise ValueError(f"{name} must be between 1 and {cap}, got {value}")
     rng = random.Random(f"{seed}:verify-sweep")
@@ -208,9 +186,7 @@ def run_verify(
         )
         inst = generate(spec)
         for kind in kinds:
-            reports.append(
-                verify_reduction(kind, inst, caps=caps, _flip=(kind == corrupt_kind))
-            )
+            reports.append(verify_reduction(kind, inst, _flip=(kind == corrupt_kind)))
     return reports
 
 

@@ -106,6 +106,12 @@ class TestValidators:
         with pytest.raises(ValueError, match="dimension >= 1"):
             point(())
 
+    def test_point_keeps_int_and_fraction_and_converts_the_rest(self):
+        kept = point((3, Fraction(1, 2)))
+        assert type(kept[0]) is int and type(kept[1]) is Fraction
+        for raw in (True, 0.5, "3"):
+            assert type(point((raw,))[0]) is Fraction
+
     def test_curve_needs_planar_vertices(self):
         with pytest.raises(ValueError, match="at least one vertex"):
             curve(())

@@ -42,6 +42,11 @@ class TestRatTokens:
         assert parse_rat("-7/4") == Fraction(-7, 4)
         assert parse_rat("+06/04") == Fraction(3, 2)
 
+    def test_only_a_slash_token_is_a_fraction(self):
+        assert type(parse_rat("3")) is int
+        assert type(parse_rat("-0")) is int
+        assert type(parse_rat("3/1")) is Fraction
+
     @pytest.mark.parametrize(
         "token", ["abc", "1/0", "1.5.2", "", "1e3", "0.5", "1_000", "\u0661"]
     )
@@ -148,6 +153,11 @@ class TestCurveFormats:
         with pytest.raises(FormatError) as info:
             parse_curve_set(text)
         assert str(info.value) == message
+
+    def test_empty_curve_set_is_not_written(self):
+        # the reader refuses a count of 0, so the writer must not emit one
+        with pytest.raises(FormatError, match="curve set must be non-empty"):
+            format_curve_set([])
 
     def test_curve_set_rejects_wrong_count(self):
         with pytest.raises(FormatError, match="trailing"):

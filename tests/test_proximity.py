@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import instances, int_points, rational_coord, small_coord
+from conftest import instances, int_curves, int_points, rational_coord, small_coord
 from ovgeom import proximity
 from ovgeom.core import curve, point, squared_euclidean
 from ovgeom.embed import embed_euclid, embed_frechet
 from ovgeom.frechet import (
     brute_force_frechet_sq,
+    frechet_decide,
     frechet_sq,
     frechet_sq_value,
     traversal_is_valid,
@@ -434,3 +435,49 @@ class TestFrechetKernelsAgainstEnumeration:
         qs = [((0, 0),), ((-3, -4), (-3, -4), (Fraction(-5, 3), -5), (0, -1))]
         assert_frechet_kernels_match_reference(ps, qs)
         assert_frechet_kernels_match_reference(qs, ps)
+
+
+# ---------------------------------------------------------------------------
+# An int coordinate is the exact rational it names: every kernel answers
+# the same for it as for the Fraction of its value.
+# ---------------------------------------------------------------------------
+
+
+def as_fractions(points):
+    return [tuple(map(Fraction, p)) for p in points]
+
+
+class TestIntAndFractionCoordinatesAgree:
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(int_points(d), int_points(d))))
+    def test_point_kernels(self, sides):
+        ps, qs = sides
+        fps, fqs = as_fractions(ps), as_fractions(qs)
+        res = bcp_euclid(ps, qs)
+        assert res == bcp_euclid(fps, fqs) and type(res.sq_value) is Fraction
+        for metric in ("euclid-linear", "euclid-kdtree"):
+            index, f_index = nn_build(ps, metric), nn_build(fps, metric)
+            for q, fq in zip(qs, fqs):
+                got = nn_query(index, q)
+                assert got == nn_query(f_index, fq) == nn_query(index, fq)
+                assert type(got[1]) is Fraction
+
+    @given(
+        st.lists(int_curves(), min_size=1, max_size=3),
+        st.lists(int_curves(), min_size=1, max_size=3),
+    )
+    def test_curve_kernels(self, cs_p, cs_q):
+        fs_p, fs_q = [as_fractions(c) for c in cs_p], [as_fractions(c) for c in cs_q]
+        res = bcp_frechet(cs_p, cs_q)
+        assert res == bcp_frechet(fs_p, fs_q) and type(res.sq_value) is Fraction
+        index = nn_build(cs_p, "frechet-linear")
+        f_index = nn_build(fs_p, "frechet-linear")
+        for q, fq in zip(cs_q, fs_q):
+            got = nn_query(index, q)
+            assert got == nn_query(f_index, fq) and type(got[1]) is Fraction
+        (p, q), (fp, fq) = (cs_p[0], cs_q[0]), (fs_p[0], fs_q[0])
+        full, value = frechet_sq(p, q), frechet_sq_value(p, q)
+        assert full == frechet_sq(fp, fq) and type(full.sq_value) is Fraction
+        assert value == frechet_sq_value(fp, fq) and type(value) is Fraction
+        for tau in (value, value - 1, value - Fraction(1, 2)):
+            if tau >= 0:
+                assert frechet_decide(p, q, tau) == frechet_decide(fp, fq, tau)

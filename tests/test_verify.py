@@ -13,7 +13,6 @@ from ovgeom.ov import ov_decide
 from ovgeom import verify
 from ovgeom.verify import (
     KINDS,
-    VerifyCaps,
     agreement_table,
     instance_id,
     report_csv,
@@ -56,9 +55,8 @@ class TestVerifyReduction:
         many = ov_instance([(1,)] * 70, [(1,)])
         with pytest.raises(ValueError, match="exceed"):
             verify_reduction("ov-to-bcp", many)
-        assert verify_reduction(
-            "ov-to-bcp", wide, caps=VerifyCaps(max_n=64, max_d=32)
-        ).agree
+        at_caps = ov_instance([(1,) * 16] * 64, [(1,) * 16] * 64)
+        assert verify_reduction("ov-to-bcp", at_caps).agree
 
     def test_flip_hook_forces_disagreement(self):
         rep = verify_reduction("ov-to-bcp", ALL_ONES, _flip=True)
@@ -139,7 +137,6 @@ class TestRunVerify:
             ({"max_n": 65}, "max_n must be between 1 and 64, got 65"),
             ({"max_d": 0}, "max_d must be between 1 and 16, got 0"),
             ({"max_d": 40}, "max_d must be between 1 and 16, got 40"),
-            ({"max_d": 5, "caps": VerifyCaps(max_d=4)}, "between 1 and 4, got 5"),
         ],
     )
     def test_rejects_sizes_outside_caps_before_any_trial(self, kwargs, message):
@@ -147,10 +144,7 @@ class TestRunVerify:
             run_verify(trials=50, **kwargs)
 
     def test_sizes_at_the_caps_run(self):
-        reports = run_verify(
-            kinds=("ov-to-bcp",), trials=1, max_n=2, max_d=2,
-            caps=VerifyCaps(max_n=2, max_d=2),
-        )
+        reports = run_verify(kinds=("ov-to-bcp",), trials=1, max_n=64, max_d=16)
         assert len(reports) == 1 and reports[0].agree
 
     def test_wide_dimension_disagreements_are_gadget_false_positives(self):
