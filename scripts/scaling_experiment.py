@@ -10,8 +10,9 @@ each doubling should roughly quadruple wall_ns, which is exactly what the
 emitted CSV lets you check (wall_ns column, min over repeats per size).
 
 Beside the CSVs, ``summary.json`` holds one row per problem and size: the
-min and median wall time over the repeats, in ms, and the answer (the
-same for every repeat, since answers depend only on the seed).
+min and median wall time over the repeats, in ms, and the answer and
+its witness (the same for every repeat, since both depend only on the
+seed; see ``ovgeom.bench.BenchRecord``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def main() -> int:
                 "min_ms": round(min(walls), 3),
                 "median_ms": round(statistics.median(walls), 3),
                 "answer": runs[0].answer,
+                "witness": list(runs[0].witness),
             })
         trend = "  ".join(
             f"n={r['n']}:{r['min_ms']:.2f}ms" for r in rows if r["problem"] == problem

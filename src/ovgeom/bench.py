@@ -3,7 +3,8 @@
 Workloads are rebuilt deterministically from (seed, problem, n, d) and the
 build is never timed; only the solve call inside each repeat is.  Answers go
 into the CSV so a rerun with the same seed can be diffed for value equality
-(wall times will of course differ).
+(wall times will of course differ).  Each record also carries the witness
+behind its answer (indices and tie-breaks), which the CSV leaves out.
 
 CSV schema: ``problem,n,d,seed,repeat,wall_ns,answer``.
 """
@@ -33,7 +34,14 @@ _QUERY_BATCH = 64  # queries timed per nn-query repeat
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One timed run; ``answer`` is seed-reproducible, ``wall_ns`` is not."""
+    """One timed run; ``answer`` is seed-reproducible, ``wall_ns`` is not.
+
+    ``witness`` is as reproducible as ``answer``: the 0-based
+    (index_p, index_q) of a closest pair, the (a, b) indices of the
+    smallest orthogonal pair (empty when there is none), the nearest
+    position of each nn-query query in order, and empty for frechet-pair,
+    whose solve computes only the value.
+    """
 
     problem: str
     n: int
@@ -42,6 +50,7 @@ class BenchRecord:
     repeat: int
     wall_ns: int
     answer: str
+    witness: tuple[int, ...]
 
 
 def _walk_curve(rng: random.Random, n: int) -> Curve2:
@@ -58,8 +67,15 @@ def _int_points(rng: random.Random, n: int, d: int):
     return [point([rng.randrange(1024) for _ in range(d)]) for _ in range(n)]
 
 
+def _bcp_answer(res) -> tuple[str, tuple[int, int]]:
+    return format_rat(res.sq_value), (res.index_p, res.index_q)
+
+
 def _workload(problem: str, n: int, d: int, seed: int):
-    """Build the (untimed) inputs; return a zero-argument solve closure."""
+    """Build the (untimed) inputs; return a zero-argument solve closure.
+
+    The closure returns (answer, witness) as ``BenchRecord`` holds them.
+    """
     rng = random.Random(f"{seed}:bench:{problem}:n={n}:d={d}")
 
     if problem in ("ov", "ov-none"):
@@ -67,27 +83,37 @@ def _workload(problem: str, n: int, d: int, seed: int):
         # witness, so the solve is a full scan
         family = "uniform-random" if problem == "ov" else "no-orthogonal"
         inst = generate(GenSpec(family, n, d, seed=rng.randrange(2**32)))
-        return lambda: "1" if ov_decide(inst) else "0"
+
+        def solve_ov():
+            w = ov_decide(inst)
+            return ("0", ()) if w is None else ("1", (w.index_a, w.index_b))
+
+        return solve_ov
 
     if problem == "bcp-euclid":
         inst = generate(GenSpec("uniform-random", n, d, seed=rng.randrange(2**32)))
         emb = embed_euclid(inst)
-        return lambda: format_rat(bcp_euclid(emb.points_a, emb.points_b).sq_value)
+        return lambda: _bcp_answer(bcp_euclid(emb.points_a, emb.points_b))
 
     if problem == "bcp-frechet":
         inst = generate(GenSpec("uniform-random", n, d, seed=rng.randrange(2**32)))
         emb = embed_frechet(inst)
-        return lambda: format_rat(bcp_frechet(emb.curves_a, emb.curves_b).sq_value)
+        return lambda: _bcp_answer(bcp_frechet(emb.curves_a, emb.curves_b))
 
     if problem == "frechet-pair":
         p = _walk_curve(rng, n)
         q = _walk_curve(rng, n)
-        return lambda: format_rat(frechet_sq_value(p, q))
+        return lambda: (format_rat(frechet_sq_value(p, q)), ())
 
     assert problem == "nn-query"
     index = nn_build(_int_points(rng, n, d), "euclid-kdtree")
     queries = _int_points(rng, _QUERY_BATCH, d)
-    return lambda: format_rat(min(nn_query(index, q)[1] for q in queries))
+
+    def solve_nn():
+        found = [nn_query(index, q) for q in queries]
+        return format_rat(min(v for _, v in found)), tuple(i for i, _ in found)
+
+    return solve_nn
 
 
 def run_bench(
@@ -124,7 +150,7 @@ def run_bench(
         solve = _workload(problem, n, d, seed)
         for rep in range(repeats):
             t0 = time.perf_counter_ns()
-            answer = solve()
+            answer, witness = solve()
             wall_ns = time.perf_counter_ns() - t0
             records.append(
                 BenchRecord(
@@ -135,6 +161,7 @@ def run_bench(
                     repeat=rep,
                     wall_ns=wall_ns,
                     answer=answer,
+                    witness=witness,
                 )
             )
     return records

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Curve2, OvInstance, PointD, Rat, curve, point
+from .core import _EXACT, Curve2, OvInstance, PointD, Rat, curve, point
 
 __all__ = [
     "FormatError",
@@ -47,8 +47,10 @@ class FormatError(ValueError):
     """Malformed on-disk content."""
 
 
-def format_rat(r: Rat) -> str:
-    r = Rat(r)
+def format_rat(r: int | Rat) -> str:
+    # an exact int or Rat already has both parts; anything else converts
+    if type(r) not in _EXACT:
+        r = Rat(r)
     return f"{r.numerator}/{r.denominator}"
 
 

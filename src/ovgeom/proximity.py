@@ -9,6 +9,17 @@ linear scan.  Ties are broken toward the smallest 0-based index, and
 toward the lexicographically smallest (index_p, index_q) pair for
 closest-pair scans.
 
+The points one scan visits (all of Q in ``bcp_euclid``, all points of a
+``LinearScanIndex``, one k-d leaf) form a ``_Block``.  A block of at
+least ``_PACK_MIN`` points packs each coordinate column, and the squared
+norms, into one int with a w-byte field per point; a query's keys
+k·|p|² − p·q2 then come out of one big-int multiply per coordinate and
+are read off the bytes of the result.  They are exact when
+B = k·max|p|² + max|coord|·Σ|q2_c| < 2**(8w − 1): B bounds every |key|,
+so each key plus 2**(8w − 1) fills its field without carrying into the
+next.  Each query checks that bound and widens the block when it fails.
+Smaller blocks run ``_nearest``'s point-by-point loop.
+
 Curve collections use the discrete Fréchet distance via one linear scan,
 ``CurveScanIndex``, which ``bcp_frechet`` runs once per curve of P.  Each
 curve is put on its own integer grid once; a pair meets on the grid of
@@ -23,6 +34,8 @@ spatial index for curves.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
@@ -80,6 +93,100 @@ def _nearest(coords, norms, idxs, q2, k, best=None) -> tuple[int, int]:
     return best_key, best_i
 
 
+# Blocks shorter than this scan point by point: below it, setting up the
+# packed keys costs more than the per-point loop they replace.
+_PACK_MIN = 10
+
+_ORDER = sys.byteorder
+# array / memoryview type codes of the field widths read natively, in bytes
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_width(bound: int) -> int:
+    """Bytes per field holding every key in [−bound, bound] plus the offset.
+
+    The smallest of 1, 2, 4 and 8 with bound < 2**(8w − 1), else the
+    smallest multiple of 8 with that property.
+    """
+    bits = bound.bit_length() + 1  # the sign bit
+    for w in (1, 2, 4, 8):
+        if bits <= 8 * w:
+            return w
+    return -(-bits // 64) * 8
+
+
+def _packed(values, w: int, high: int) -> int:
+    """Σ_j values[j]·2**(8wj) for values in [−2**(8w−1), 2**(8w−1)), where
+    ``high`` has 2**(8w−1) in each of the len(values) w-byte fields."""
+    if w in _SIGNED:
+        raw = array(_SIGNED[w], values)
+    else:
+        raw = b"".join(v.to_bytes(w, _ORDER, signed=True) for v in values)
+    # flipping each two's-complement field's top bit adds 2**(8w−1) to it
+    return (int.from_bytes(raw, _ORDER) ^ high) - high
+
+
+class _Block:
+    """The points ``coords[i]`` for i in ``idxs`` (ascending), scanned as one.
+
+    Blocks of at least ``_PACK_MIN`` points are packed at a field width of
+    w bytes: N = Σ_j |p_j|²·2**(8wj) for the squared norms, and one such
+    int C_c per coordinate column c.  For a query (q2, k) as in
+    ``_nearest``, field j of
+
+        k·N − Σ_c q2_c·C_c + H,   H = Σ_j 2**(8w−1)·2**(8wj),
+
+    is read as an unsigned w-byte int and holds key_j + 2**(8w−1): exact
+    whenever every key lies in [−2**(8w−1), 2**(8w−1)), which each query
+    checks by the bound B of the module docstring.  A query whose B does
+    not fit repacks the block at the narrowest width that holds it; a
+    block never repacks narrower.
+    """
+
+    __slots__ = ("coords", "norms", "idxs", "max_norm", "max_abs", "width",
+                 "half", "high", "norm_col", "cols")
+
+    def __init__(self, coords, norms, idxs):
+        self.coords, self.norms, self.idxs = coords, norms, idxs
+        # unpacked: the maxima are measured by the first packed query
+        self.max_norm = self.max_abs = self.width = self.half = 0
+
+    def __len__(self) -> int:
+        return len(self.idxs)
+
+    def _pack(self, q2, k) -> None:
+        rows = [self.coords[i] for i in self.idxs]
+        norms = [self.norms[i] for i in self.idxs]
+        if not self.width:
+            self.max_norm = max(norms)
+            self.max_abs = max(max(map(abs, p)) for p in rows)
+        w = _field_width(k * self.max_norm + self.max_abs * sum(map(abs, q2)))
+        self.width, self.half = w, 1 << (8 * w - 1)
+        self.high = high = int.from_bytes(self.half.to_bytes(w, _ORDER) * len(rows), _ORDER)
+        self.norm_col = _packed(norms, w, high)
+        self.cols = [_packed(col, w, high) for col in zip(*rows)]
+
+    def nearest(self, q2, k, best=None) -> tuple[int, int]:
+        """``_nearest`` over this block's points, seeded by ``best`` alike."""
+        idxs = self.idxs
+        if len(idxs) < _PACK_MIN:
+            return _nearest(self.coords, self.norms, idxs, q2, k, best)
+        # B of this query; before the first pack, 0 >= 0 always packs
+        if k * self.max_norm + self.max_abs * sum(map(abs, q2)) >= self.half:
+            self._pack(q2, k)
+        w = self.width
+        total = k * self.norm_col + self.high - sum(map(mul, q2, self.cols))
+        raw = total.to_bytes(len(idxs) * w, _ORDER)
+        if w in _UNSIGNED:
+            fields = memoryview(raw).cast(_UNSIGNED[w]).tolist()
+        else:
+            fields = [int.from_bytes(raw[s:s + w], _ORDER) for s in range(0, len(raw), w)]
+        low = min(fields)  # list.index finds its first, lowest-index field
+        found = (low - self.half, idxs[fields.index(low)])
+        return best if best is not None and best < found else found
+
+
 def bcp_euclid(points_p, points_q) -> BcpResult:
     """Exact pairwise scan over two point families."""
     p_side = [point(p) for p in points_p]
@@ -91,11 +198,10 @@ def bcp_euclid(points_p, points_q) -> BcpResult:
         if len(pt) != dim:
             raise ValueError("all points must share one dimension")
     (grid_p, grid_q), scale = as_integer_grid([p_side, q_side])
-    norms_q = _sq_norms(grid_q)
-    all_q = range(len(grid_q))
+    block_q = _Block(grid_q, _sq_norms(grid_q), range(len(grid_q)))
     best: tuple[int, int, int] | None = None  # (grid sq distance, i, j)
     for i, p in enumerate(grid_p):
-        key, j = _nearest(grid_q, norms_q, all_q, [2 * x for x in p], 1)
+        key, j = block_q.nearest([2 * x for x in p], 1)
         d = key + sum(map(mul, p, p))
         if best is None or d < best[0]:  # i ascends, so ties keep the lower i
             best = (d, i, j)
@@ -130,6 +236,7 @@ class LinearScanIndex:
         (self.coords,), self.scale = as_integer_grid([points])
         self.norms = _sq_norms(self.coords)
         self.dim = dim
+        self.block = _Block(self.coords, self.norms, range(len(self.coords)))
 
     def query(self, q: PointD) -> tuple[int, SqDist]:
         # A query whose denominators do not divide the index's scale goes
@@ -142,8 +249,12 @@ class LinearScanIndex:
         return i, Rat(k * key + q_norm, scale * scale)
 
     def _search(self, qg, q2, q_norm, k) -> tuple[int, int]:
-        """(key, index) of the nearest point; see ``_nearest`` for the key."""
-        return _nearest(self.coords, self.norms, range(len(self.coords)), q2, k)
+        """(key, index) of the nearest point, from one scan of ``block``.
+
+        The key is ``_nearest``'s; ``qg`` and ``q_norm`` (q and |q|²) are
+        read only by the k-d tree's pruning test.
+        """
+        return self.block.nearest(q2, k)
 
 
 class _KdNode:
@@ -178,14 +289,14 @@ class KdTreeIndex(LinearScanIndex):
 
     def _build(self, idxs: list[int], depth: int) -> _KdNode:
         if len(idxs) <= _LEAF_SIZE:
-            return _KdNode(bucket=sorted(idxs))
+            return self._leaf(idxs)
         axis = depth % self.dim
         coords = sorted(self.coords[i][axis] for i in idxs)
         split = coords[(len(coords) - 1) // 2]  # lower median
         left = [i for i in idxs if self.coords[i][axis] <= split]
         right = [i for i in idxs if self.coords[i][axis] > split]
         if not right:  # all coordinates on this axis coincide with the median
-            return _KdNode(bucket=sorted(idxs))
+            return self._leaf(idxs)
         return _KdNode(
             axis=axis,
             split=split,
@@ -193,14 +304,16 @@ class KdTreeIndex(LinearScanIndex):
             right=self._build(right, depth + 1),
         )
 
+    def _leaf(self, idxs: list[int]) -> _KdNode:
+        return _KdNode(bucket=_Block(self.coords, self.norms, sorted(idxs)))
+
     def _search(self, qg, q2, q_norm, k) -> tuple[int, int]:
-        coords, norms = self.coords, self.norms
         best = None  # (key, index); set by the first bucket visited
 
         def visit(node):
             nonlocal best
             if node.bucket is not None:
-                best = _nearest(coords, norms, node.bucket, q2, k, best)
+                best = node.bucket.nearest(q2, k, best)
                 return
             gap = qg[node.axis] - k * node.split
             near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)

@@ -73,6 +73,24 @@ class TestRecords:
             records = run_bench("ov-none", [16, 32], repeats=1, d=6, seed=seed)
             assert [r.answer for r in records] == ["0", "0"]
 
+    def test_witnesses_back_the_answers(self):
+        (rec,) = run_bench("bcp-euclid", [6], repeats=1, d=5, seed=2)
+        i, j = rec.witness
+        assert 0 <= i < 6 and 0 <= j < 6
+        (rec,) = run_bench("nn-query", [8], repeats=1, d=3, seed=0)
+        assert len(rec.witness) == 64 and all(0 <= i < 8 for i in rec.witness)
+        for seed in range(4):
+            for rec in run_bench("ov", [4], repeats=1, d=3, seed=seed):
+                assert len(rec.witness) == (2 if rec.answer == "1" else 0)
+        (rec,) = run_bench("frechet-pair", [4], repeats=1, seed=0)
+        assert rec.witness == ()
+
+    def test_witnesses_repeat_with_the_seed(self):
+        for problem in PROBLEMS:
+            a = run_bench(problem, [5], repeats=2, d=4, seed=9)
+            b = run_bench(problem, [5], repeats=1, d=4, seed=9)
+            assert a[0].witness == a[1].witness == b[0].witness
+
     def test_all_problems_run_small(self):
         for problem in PROBLEMS:
             records = run_bench(problem, [3], repeats=1, d=3, seed=0)

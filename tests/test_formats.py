@@ -1,5 +1,6 @@
 """On-disk text formats: exact round-trips and malformed-input rejection."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from conftest import (
     instances,
     rat_curves,
 )
+from ovgeom.cli import main
 from ovgeom.core import OvInstance, curve, ov_instance, point
+from ovgeom.embed import embed_euclid, embed_frechet
 from ovgeom.formats import (
     FormatError,
     format_curve_set,
@@ -28,6 +31,7 @@ from ovgeom.formats import (
     read_text,
     write_text,
 )
+from ovgeom.generate import GenSpec, generate
 
 
 class TestRatTokens:
@@ -57,6 +61,56 @@ class TestRatTokens:
     @given(st.fractions(max_denominator=10**6))
     def test_round_trip(self, r):
         assert parse_rat(format_rat(r)) == r
+
+    def test_format_converts_only_inexact_types(self):
+        assert format_rat(True) == "1/1"
+        assert format_rat(-12) == "-12/1"
+        assert format_rat(Fraction(6, -4)) == "-3/2"
+
+
+def _count_fractions(monkeypatch):
+    """Record every Fraction built from here on; returns the record."""
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+class TestReduceOutput:
+    # sha256 prefixes of the files ``ovgeom reduce`` writes for
+    # ``gen --family uniform-random --n 64 --d 16 --seed 5``, as written
+    # when format_rat still built a Fraction per coordinate
+    PINNED = {
+        "euclid-p.txt": "9e455465561ee649",
+        "euclid-q.txt": "ba7ac14b456f0b70",
+        "frechet-p.txt": "ae257accebf71f95",
+        "frechet-q.txt": "3bb2850ce69b12d6",
+        "or-gadget-pair.txt": "7f42df63843273cd",
+    }
+
+    def test_reduce_files_are_byte_identical(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        gen = ["--family", "uniform-random", "--n", "64", "--d", "16", "--seed", "5"]
+        assert main(["gen", *gen, "--out", str(inst)]) == 0
+        for kind in ("euclid", "frechet", "or-gadget"):
+            prefix = str(tmp_path / kind)
+            assert main(["reduce", "--kind", kind, "--in", str(inst), "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        for name, digest in self.PINNED.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == digest
+
+    def test_formatting_int_coordinates_builds_no_fraction(self, monkeypatch):
+        inst = generate(GenSpec("uniform-random", 64, 16, seed=5))
+        e, f = embed_euclid(inst), embed_frechet(inst)
+        built = _count_fractions(monkeypatch)
+        texts = [format_point_set(e.points_a), format_point_set(e.points_b),
+                 format_curve_set(f.curves_a), format_curve_set(f.curves_b)]
+        assert built == []
+        assert sum(t.count("/") for t in texts) == 2 * 64 * 16 + 2 * 64 * 16 * 2
 
 
 class TestIntTokens:

@@ -481,3 +481,143 @@ class TestIntAndFractionCoordinatesAgree:
         for tau in (value, value - 1, value - Fraction(1, 2)):
             if tau >= 0:
                 assert frechet_decide(p, q, tau) == frechet_decide(fp, fq, tau)
+
+
+# ---------------------------------------------------------------------------
+# The packed block scan against the point-by-point loop it replaces.
+# ---------------------------------------------------------------------------
+
+
+def block_and_loop(coords, idxs, queries):
+    """Run ``queries`` (q2, k, best) in order on one ``_Block`` and on
+    ``_nearest``, asserting equal (key, index) answers; returns the block."""
+    norms = proximity._sq_norms(coords)
+    block = proximity._Block(coords, norms, idxs)
+    assert len(block) == len(idxs)
+    for q2, k, best in queries:
+        want = proximity._nearest(coords, norms, idxs, q2, k, best)
+        assert block.nearest(q2, k, best) == want
+    return block
+
+
+# Magnitudes whose keys need 1-, 2-, 4-, 8- and 16-byte fields and more.
+block_magnitude = st.sampled_from([1, 3, 60, 2**10, 2**20, 2**40, 2**70])
+
+
+@st.composite
+def blocks_and_queries(draw):
+    """Points of a small pool (duplicates common), a sorted index subset on
+    either side of the packing cutoff, and queries whose magnitudes rise
+    and fall, so widths grow and a narrow query follows a wide one."""
+    d = draw(st.integers(1, 5))
+    mag = draw(block_magnitude)
+    coord = st.integers(-mag, mag)
+    pool = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=5))
+    cutoff = proximity._PACK_MIN
+    m = draw(st.integers(1, cutoff - 1) | st.integers(cutoff, 3 * cutoff))
+    coords = [draw(st.sampled_from(pool)) for _ in range(m)]
+    subset = st.sets(st.integers(0, m - 1), min_size=1).map(sorted)
+    idxs = draw(st.just(range(m)) | subset)
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        qmag = draw(block_magnitude)
+        q2 = [2 * draw(st.integers(-qmag, qmag)) for _ in range(d)]
+        k = draw(st.sampled_from([1, 2, 7, 999983]))
+        best = None
+        if draw(st.booleans()):
+            # an earlier bucket's (key, index): equal, just above or below
+            # this block's answer, with a lower or higher index
+            key, _ = proximity._nearest(coords, proximity._sq_norms(coords), idxs, q2, k)
+            best = (key + draw(st.sampled_from([-1, 0, 0, 1])),
+                    draw(st.sampled_from([-1, idxs[0], m])))
+        queries.append((q2, k, best))
+    return coords, idxs, queries
+
+
+class TestPackedBlockAgainstLoop:
+    @given(blocks_and_queries())
+    def test_hostile_blocks(self, case):
+        block_and_loop(*case)
+
+    @pytest.mark.parametrize(
+        "bound, width",
+        [(0, 1), (127, 1), (128, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4),
+         (2**31, 8), (2**63 - 1, 8), (2**63, 16), (2**127 - 1, 16), (2**127, 24)],
+    )
+    def test_field_width_keeps_the_sign_bit(self, bound, width):
+        assert proximity._field_width(bound) == width
+
+    @pytest.mark.parametrize("k", [127, 128, 2**15 - 1, 2**15, 2**31, 2**63, 2**100])
+    def test_keys_at_the_field_limit(self, k):
+        # A query at the origin makes every key k·|p|², so the largest key,
+        # at index 0, equals the bound: its field is full once offset.
+        n = 2 * proximity._PACK_MIN
+        coords = [(1, 0)] + [(0, 0)] * (n - 1)
+        block = block_and_loop(coords, range(n), [([0, 0], k, None)])
+        assert block.nearest([0, 0], k) == (0, 1)
+
+    def test_most_negative_keys(self):
+        # q = p makes the key −|p|², the most negative a key gets; here
+        # |p|² sits near 2**8, 2**16, 2**32 and 2**64
+        n = proximity._PACK_MIN
+        for x in (11, 181, 46340, 3037000499):
+            coords = [(-x, x)] * n
+            block_and_loop(coords, range(n), [([-2 * x, 2 * x], 1, None)])
+
+    @pytest.mark.parametrize("m", [1, 2, proximity._PACK_MIN - 1, proximity._PACK_MIN,
+                                   proximity._PACK_MIN + 1, 64])
+    def test_all_duplicates_go_to_the_lowest_index(self, m):
+        coords = [(5, -3, 2**41)] * (m + 3)
+        idxs = list(range(3, m + 3))
+        queries = [([0, 0, 0], 1, None), ([2, 2, 2], 3, None), ([-2**45, 6, 0], 1, None)]
+        block = block_and_loop(coords, idxs, queries)
+        assert [block.nearest(q2, k)[1] for q2, k, _ in queries] == [3, 3, 3]
+
+    def test_equal_key_seed_keeps_the_lower_index(self):
+        n = 2 * proximity._PACK_MIN
+        coords = [(1, 2), (3, 4)] * n
+        idxs = list(range(4, 2 * n))
+        key, i = proximity._nearest(coords, proximity._sq_norms(coords), idxs, [2, 4], 1)
+        assert i == 4
+        queries = [([2, 4], 1, (key, 0)), ([2, 4], 1, (key, 5)), ([2, 4], 1, (key, 3))]
+        block = block_and_loop(coords, idxs, queries)
+        assert block.nearest([2, 4], 1, (key, 0)) == (key, 0)
+        assert block.nearest([2, 4], 1, (key, 5)) == (key, 4)
+        assert block.nearest([2, 4], 1, (key - 1, 99)) == (key - 1, 99)
+
+    def test_narrow_query_after_a_wide_one_keeps_the_wide_fields(self):
+        n = proximity._PACK_MIN + 2
+        coords = [(x % 5 - 2, 3 - x % 4) for x in range(n)]
+        wide, narrow = [2**40, -(2**41)], [2, -4]
+        block = block_and_loop(coords, range(n), [(wide, 1, None), (narrow, 1, None),
+                                                  (narrow, 5, None), (wide, 3, None)])
+        assert block.width == 8
+        block = block_and_loop(coords, range(n), [(narrow, 1, None), (wide, 1, None),
+                                                  (narrow, 1, None)])
+        assert block.width == 8
+
+    def test_wide_fields_from_coprime_denominators(self):
+        # as_integer_grid puts these on a grid of scale ~2**100, so keys
+        # need fields wider than 8 bytes; the index answers stay exact.
+        dens = [999983, 1000003, 999979, 1000033, 999961]
+        pts = [(Fraction(i - 7, dens[i % 5]), Fraction(3, dens[(i + 2) % 5]) - i)
+               for i in range(3 * proximity._PACK_MIN)]
+        queries = [(Fraction(-1, 999983), -4), (Fraction(5, 7), Fraction(-11, 1000003)),
+                   pts[4]]
+        assert_nn_matches_reference(pts, queries)
+        (grid,), _ = proximity.as_integer_grid([pts])
+        q2s = [[2 * x for x in p] for p in grid[:3]]
+        block = block_and_loop(grid, range(len(grid)), [(q2, 1, None) for q2 in q2s])
+        assert block.width > 8
+
+    def test_kdtree_buckets_have_a_length(self):
+        # the k-d tree's leaves are blocks; their lengths cover every point
+        pts = [(i % 3, 0) for i in range(50)]
+        stack, sizes = [nn_build(pts, "euclid-kdtree").root], []
+        while stack:
+            node = stack.pop()
+            if node.bucket is None:
+                stack += [node.left, node.right]
+            else:
+                sizes.append(len(node.bucket))
+        assert sum(sizes) == 50 and max(sizes) >= proximity._PACK_MIN

@@ -38,6 +38,8 @@ def test_scaling_experiment_quick_writes_one_summary_row_per_size(tmp_path):
     assert {p for p, _ in rows} == set(PROBLEMS)
     for problem, _ in rows:
         assert (tmp_path / f"{problem}.csv").exists()
+    for row in summary["rows"]:
+        assert isinstance(row["witness"], list)
 
 
 def test_gadget_delta_sweep_certifies_a_quarter_and_fails_two_thirds():
