@@ -28,6 +28,8 @@ def main() -> int:
     )
     ap.add_argument("--max-d", type=parse_int, default=64)
     args = ap.parse_args()
+    if args.max_d < 1:
+        ap.error(f"--max-d must be >= 1, got {args.max_d}")
     try:
         deltas = [(tok, parse_rat(tok)) for tok in args.deltas.split(",")]
     except FormatError as exc:

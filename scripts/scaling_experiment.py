@@ -51,6 +51,8 @@ def main() -> int:
     ap.add_argument("--repeats", type=parse_int, default=3)
     ap.add_argument("--quick", action="store_true", help="small sizes for a fast run")
     args = ap.parse_args()
+    if args.repeats < 0:
+        ap.error(f"--repeats must be >= 0, got {args.repeats}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

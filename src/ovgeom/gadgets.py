@@ -230,7 +230,10 @@ def validate_gadget_config(cfg: GadgetConfig, max_d: int = 64) -> GadgetValidati
     At the first failing d the counterexample is A = {1^d} against
     B = {0^d, 1^d} or B = {1^d, 0^d}, whichever the gadget decides wrongly
     against the pair-scan oracle, else None: no instances are enumerated.
+    A ``max_d`` below 1 is a ValueError: it would certify nothing.
     """
+    if max_d < 1:
+        raise ValueError(f"max_d must be >= 1, got {max_d}")
     for d in range(1, max_d + 1):
         if _violation(cfg.delta, d) is not None:
             ones, zeros = (1,) * d, (0,) * d

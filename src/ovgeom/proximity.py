@@ -9,8 +9,14 @@ linear scan.  Ties are broken toward the smallest 0-based index, and
 toward the lexicographically smallest (index_p, index_q) pair for
 closest-pair scans.
 
-The points one scan visits (all of Q in ``bcp_euclid``, all points of a
-``LinearScanIndex``, one k-d leaf) form a ``_Block``.  A block of at
+Each index takes only its items and checks them itself (``_point_family``,
+``_curve_family``), and its ``query`` checks the query the same way; the
+dimension is read off the points.  ``LinearScanIndex`` is the k-d tree
+that never splits: one query walk serves both point indexes, and
+``KdTreeIndex`` differs only in how it builds the tree.  ``bcp_euclid``
+scans the one leaf of a ``LinearScanIndex`` over Q once per point of P.
+
+The points one scan visits (one leaf) form a ``_Block``.  A block of at
 least ``_PACK_MIN`` points packs each coordinate column, and the squared
 norms, into one int with a w-byte field per point; a query's keys
 k·|p|² − p·q2 then come out of one big-int multiply per coordinate and
@@ -55,7 +61,32 @@ __all__ = [
     "NN_METRICS",
 ]
 
-NN_METRICS = ("euclid-linear", "euclid-kdtree", "frechet-linear")
+
+def _point_family(items, dim: int | None = None) -> list[PointD]:
+    """``items`` frozen by ``core.point``: at least one, all of one
+    dimension (``dim`` when given, else the first point's)."""
+    try:
+        pts = [point(p) for p in items]
+    except TypeError as exc:
+        raise ValueError("expected points, not curves") from exc
+    if not pts:
+        raise ValueError("a point family must be non-empty")
+    dim = dim or len(pts[0])
+    for p in pts:
+        if len(p) != dim:
+            raise ValueError(f"all points must share one dimension: {len(p)} != {dim}")
+    return pts
+
+
+def _curve_family(items) -> list[Curve2]:
+    """``items`` frozen by ``core.curve`` (planar): at least one."""
+    try:
+        curves = [curve(c) for c in items]
+    except TypeError as exc:
+        raise ValueError("expected curves, not points") from exc
+    if not curves:
+        raise ValueError("a curve family must be non-empty")
+    return curves
 
 
 @dataclass(frozen=True)
@@ -188,21 +219,17 @@ class _Block:
 
 
 def bcp_euclid(points_p, points_q) -> BcpResult:
-    """Exact pairwise scan over two point families."""
-    p_side = [point(p) for p in points_p]
-    q_side = [point(q) for q in points_q]
-    if not p_side or not q_side:
-        raise ValueError("both point families must be non-empty")
-    dim = len(p_side[0])
-    for pt in p_side + q_side:
-        if len(pt) != dim:
-            raise ValueError("all points must share one dimension")
-    (grid_p, grid_q), scale = as_integer_grid([p_side, q_side])
-    block_q = _Block(grid_q, _sq_norms(grid_q), range(len(grid_q)))
+    """Exact pairwise scan over two point families: each point of P, on a
+    grid k times finer than Q's (k = 1 unless P adds a denominator), scans
+    the one leaf of a linear index over Q."""
+    index = LinearScanIndex(points_q)
+    (grid_p,), scale = as_integer_grid([_point_family(points_p, index.dim)], index.scale)
+    k = scale // index.scale
+    leaf = index.root.bucket
     best: tuple[int, int, int] | None = None  # (grid sq distance, i, j)
     for i, p in enumerate(grid_p):
-        key, j = block_q.nearest([2 * x for x in p], 1)
-        d = key + sum(map(mul, p, p))
+        key, j = leaf.nearest([2 * x for x in p], k)
+        d = k * key + sum(map(mul, p, p))
         if best is None or d < best[0]:  # i ascends, so ties keep the lower i
             best = (d, i, j)
     return BcpResult(best[1], best[2], Rat(best[0], scale * scale))
@@ -210,51 +237,15 @@ def bcp_euclid(points_p, points_q) -> BcpResult:
 
 def bcp_frechet(curves_p, curves_q) -> BcpResult:
     """Exact pairwise scan over two curve families (squared Fréchet)."""
-    p_side = [curve(c) for c in curves_p]
-    q_side = [curve(c) for c in curves_q]
-    if not p_side or not q_side:
-        raise ValueError("both curve families must be non-empty")
-    index = CurveScanIndex(q_side)
+    index = CurveScanIndex(curves_q)
     best_i = best_j = best = None
-    for i, p in enumerate(p_side):
+    for i, p in enumerate(_curve_family(curves_p)):
         # i ascends and the scan reports only a strictly smaller value, so
         # ties keep the lower i
         j, d = index._scan(*_grid_curve(p), best)
         if j is not None:
             best_i, best_j, best = i, j, d
     return BcpResult(best_i, best_j, best)
-
-
-class LinearScanIndex:
-    """Baseline point index: store everything, scan on query.
-
-    Points are held on one integer grid of scale ``scale`` (coordinate =
-    int / scale) together with their squared norms.
-    """
-
-    def __init__(self, points: list[PointD], dim: int):
-        (self.coords,), self.scale = as_integer_grid([points])
-        self.norms = _sq_norms(self.coords)
-        self.dim = dim
-        self.block = _Block(self.coords, self.norms, range(len(self.coords)))
-
-    def query(self, q: PointD) -> tuple[int, SqDist]:
-        # A query whose denominators do not divide the index's scale goes
-        # on a grid k times finer; the stored ints are scaled by k inside
-        # the key, never rebuilt.
-        ((qg,),), scale = as_integer_grid([(q,)], self.scale)
-        k = scale // self.scale
-        q_norm = sum(map(mul, qg, qg))
-        key, i = self._search(qg, [2 * x for x in qg], q_norm, k)
-        return i, Rat(k * key + q_norm, scale * scale)
-
-    def _search(self, qg, q2, q_norm, k) -> tuple[int, int]:
-        """(key, index) of the nearest point, from one scan of ``block``.
-
-        The key is ``_nearest``'s; ``qg`` and ``q_norm`` (q and |q|²) are
-        read only by the k-d tree's pruning test.
-        """
-        return self.block.nearest(q2, k)
 
 
 class _KdNode:
@@ -266,6 +257,52 @@ class _KdNode:
         self.left = left
         self.right = right
         self.bucket = bucket
+
+
+class LinearScanIndex:
+    """Baseline point index: store everything, scan on query.
+
+    Points are held on one integer grid of scale ``scale`` (coordinate =
+    int / scale) together with their squared norms, under ``root``: the
+    one leaf of a k-d tree that never splits.
+    """
+
+    def __init__(self, points: list[PointD]):
+        points = _point_family(points)
+        self.dim = len(points[0])
+        (self.coords,), self.scale = as_integer_grid([points])
+        self.norms = _sq_norms(self.coords)
+        self.root = self._build(list(range(len(points))), 0)
+
+    def _build(self, idxs: list[int], depth: int) -> _KdNode:
+        """The subtree over ``idxs`` (ascending) at ``depth``: here one leaf."""
+        return _KdNode(bucket=_Block(self.coords, self.norms, idxs))
+
+    def query(self, q: PointD) -> tuple[int, SqDist]:
+        (q,) = _point_family((q,), self.dim)
+        # A query whose denominators do not divide the index's scale goes
+        # on a grid k times finer; the stored ints are scaled by k inside
+        # the key, never rebuilt.
+        ((qg,),), scale = as_integer_grid([(q,)], self.scale)
+        k = scale // self.scale
+        q2 = [2 * x for x in qg]
+        q_norm = sum(map(mul, qg, qg))
+        best = None  # (key, index); set by the first bucket visited
+
+        def visit(node):
+            nonlocal best
+            if node.bucket is not None:
+                best = node.bucket.nearest(q2, k, best)
+                return
+            gap = qg[node.axis] - k * node.split
+            near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)
+            visit(near)
+            if gap * gap <= k * best[0] + q_norm:  # squared radius on q's grid
+                visit(far)
+
+        visit(self.root)
+        key, i = best
+        return i, Rat(k * key + q_norm, scale * scale)
 
 
 _LEAF_SIZE = 8
@@ -283,46 +320,22 @@ class KdTreeIndex(LinearScanIndex):
     exactly.
     """
 
-    def __init__(self, points: list[PointD], dim: int):
-        super().__init__(points, dim)
-        self.root = self._build(list(range(len(points))), 0)
-
     def _build(self, idxs: list[int], depth: int) -> _KdNode:
         if len(idxs) <= _LEAF_SIZE:
-            return self._leaf(idxs)
+            return super()._build(idxs, depth)
         axis = depth % self.dim
         coords = sorted(self.coords[i][axis] for i in idxs)
         split = coords[(len(coords) - 1) // 2]  # lower median
         left = [i for i in idxs if self.coords[i][axis] <= split]
         right = [i for i in idxs if self.coords[i][axis] > split]
         if not right:  # all coordinates on this axis coincide with the median
-            return self._leaf(idxs)
+            return super()._build(idxs, depth)
         return _KdNode(
             axis=axis,
             split=split,
             left=self._build(left, depth + 1),
             right=self._build(right, depth + 1),
         )
-
-    def _leaf(self, idxs: list[int]) -> _KdNode:
-        return _KdNode(bucket=_Block(self.coords, self.norms, sorted(idxs)))
-
-    def _search(self, qg, q2, q_norm, k) -> tuple[int, int]:
-        best = None  # (key, index); set by the first bucket visited
-
-        def visit(node):
-            nonlocal best
-            if node.bucket is not None:
-                best = node.bucket.nearest(q2, k, best)
-                return
-            gap = qg[node.axis] - k * node.split
-            near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)
-            visit(near)
-            if gap * gap <= k * best[0] + q_norm:  # squared radius on q's grid
-                visit(far)
-
-        visit(self.root)
-        return best
 
 
 def _grid_curve(c: Curve2) -> tuple[list[tuple[int, int]], int]:
@@ -345,12 +358,11 @@ class CurveScanIndex:
     endpoint bound already reaches the best value found so far.
     """
 
-    dim = None
-
     def __init__(self, curves: list[Curve2]):
-        self.grids = [_grid_curve(c) for c in curves]
+        self.grids = [_grid_curve(c) for c in _curve_family(curves)]
 
     def query(self, q: Curve2) -> tuple[int, SqDist]:
+        (q,) = _curve_family((q,))
         return self._scan(*_grid_curve(q), None)
 
     def _scan(
@@ -384,7 +396,14 @@ class CurveScanIndex:
         return found, best
 
 
-NnIndex = LinearScanIndex | KdTreeIndex | CurveScanIndex
+NnIndex = LinearScanIndex | CurveScanIndex
+
+_INDEXES = {
+    "euclid-linear": LinearScanIndex,
+    "euclid-kdtree": KdTreeIndex,
+    "frechet-linear": CurveScanIndex,
+}
+NN_METRICS = tuple(_INDEXES)
 
 
 def nn_build(items, metric: str) -> NnIndex:
@@ -393,40 +412,11 @@ def nn_build(items, metric: str) -> NnIndex:
     metric: 'euclid-linear' | 'euclid-kdtree' (point collections) or
     'frechet-linear' (curve collections).
     """
-    if metric not in NN_METRICS:
+    if metric not in _INDEXES:
         raise ValueError(f"unknown metric {metric!r}, expected one of {NN_METRICS}")
-    items = list(items)
-    if not items:
-        raise ValueError("cannot build an index over an empty collection")
-    if metric == "frechet-linear":
-        try:
-            curves = [curve(c) for c in items]
-        except TypeError as exc:
-            raise ValueError(f"metric {metric!r} indexes curves, not points") from exc
-        return CurveScanIndex(curves)
-    try:
-        pts = [point(p) for p in items]
-    except TypeError as exc:
-        raise ValueError(f"metric {metric!r} indexes points, not curves") from exc
-    dim = len(pts[0])
-    for p in pts:
-        if len(p) != dim:
-            raise ValueError("all indexed points must share one dimension")
-    if metric == "euclid-linear":
-        return LinearScanIndex(pts, dim)
-    return KdTreeIndex(pts, dim)
+    return _INDEXES[metric](items)
 
 
 def nn_query(index: NnIndex, q) -> tuple[int, SqDist]:
     """Smallest-index exact nearest neighbor of q: (position, squared dist)."""
-    try:
-        if index.dim is None:
-            q = curve(q)
-        else:
-            q = point(q)
-    except TypeError as exc:
-        kind = "a curve" if index.dim is None else "a point"
-        raise ValueError(f"this index expects {kind} query") from exc
-    if index.dim is not None and len(q) != index.dim:
-        raise ValueError(f"query dimension {len(q)} != index dimension {index.dim}")
     return index.query(q)

@@ -297,6 +297,12 @@ class TestValidateGadgetConfig:
         assert result.ok
         assert result.counterexample is None
 
+    @pytest.mark.parametrize("max_d", [0, -1])
+    def test_no_dimension_to_check_is_an_error(self, max_d):
+        # an empty sweep would certify 2/3, which fails at d = 1
+        with pytest.raises(ValueError, match="max_d"):
+            validate_gadget_config(GadgetConfig(Fraction(2, 3)), max_d=max_d)
+
     def test_half_fails_at_dimension_four(self):
         cfg = GadgetConfig(Fraction(1, 2))
         assert validate_gadget_config(cfg, max_d=3).ok

@@ -1,5 +1,6 @@
 """Closest-pair scans and nearest-neighbor structures vs fresh oracles."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from ovgeom.frechet import (
 from ovgeom.generate import GenSpec, generate
 from ovgeom.proximity import (
     BcpResult,
+    CurveScanIndex,
     KdTreeIndex,
     LinearScanIndex,
     bcp_euclid,
@@ -61,6 +63,18 @@ class TestBcpEuclid:
         with pytest.raises(ValueError, match="dimension"):
             bcp_euclid([(0, 0)], [(0, 0, 0)])
 
+    def test_rejects_items_that_are_not_points(self):
+        for ps, qs in [([5], [(1,)]), ([(1,)], [5]), ([(1, 1)], [((0, 0), (1, 1))])]:
+            with pytest.raises(ValueError, match="points, not curves"):
+                bcp_euclid(ps, qs)
+
+    def test_p_denominators_outside_the_grid_of_q(self):
+        # Q alone sits on a grid of scale 2; P adds the denominator 3, so P
+        # scans Q's leaf on a grid 3 times finer
+        ps = [(Fraction(1, 3), 0), (Fraction(2, 3), 0)]
+        qs = [(0, 0), (Fraction(1, 2), 0)]
+        assert bcp_euclid(ps, qs) == BcpResult(0, 1, Fraction(1, 36))
+
     @given(int_points(3), int_points(3))
     def test_matches_naive_minimum(self, ps, qs):
         res = bcp_euclid(ps, qs)
@@ -91,6 +105,11 @@ class TestBcpFrechet:
     def test_rejects_empty_family(self):
         with pytest.raises(ValueError, match="non-empty"):
             bcp_frechet([((0, 0),)], [])
+
+    def test_rejects_items_that_are_not_curves(self):
+        for ps, qs in [([(0, 0)], [((1, 1),)]), ([((1, 1),)], [(0, 0)])]:
+            with pytest.raises(ValueError, match="curves, not points"):
+                bcp_frechet(ps, qs)
 
     @staticmethod
     def dp_pairs(monkeypatch, inst):
@@ -184,6 +203,10 @@ class TestNnStructures:
             nn_build([(0, 0), (1, 1)], "frechet-linear")
         with pytest.raises(ValueError, match="share one dimension"):
             nn_build([(0, 0), (1, 1, 1)], "euclid-linear")
+        with pytest.raises(ValueError, match="points, not curves"):
+            nn_build([5], "euclid-linear")
+        with pytest.raises(ValueError, match="2-dimensional"):
+            nn_build([((0, 0, 0),)], "frechet-linear")
 
     def test_query_type_and_dimension_errors(self):
         idx = nn_build([(0, 0, 0)], "euclid-kdtree")
@@ -192,6 +215,70 @@ class TestNnStructures:
         cidx = nn_build([((0, 0), (1, 1))], "frechet-linear")
         with pytest.raises(ValueError, match="curve"):
             nn_query(cidx, (0, 0))
+        with pytest.raises(ValueError, match="dimension"):
+            nn_query(idx, (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="points, not curves"):
+            nn_query(idx, ((0, 0, 0), (1, 1, 1)))
+
+    @pytest.mark.parametrize("cls", [LinearScanIndex, KdTreeIndex])
+    def test_direct_point_query_checks_dimension_and_kind(self, cls):
+        idx = cls([(0, 0), (1, 1)])
+        for q in [(1,), (1, 1, 100)]:
+            with pytest.raises(ValueError, match="dimension"):
+                idx.query(q)
+        with pytest.raises(ValueError, match="points, not curves"):
+            idx.query(((0, 0), (1, 1)))
+        assert idx.query((1, 0)) == (0, 1)
+
+    def test_direct_curve_query_checks_kind(self):
+        idx = CurveScanIndex([((0, 0), (1, 1))])
+        with pytest.raises(ValueError, match="curves, not points"):
+            idx.query((0, 0))
+        with pytest.raises(ValueError, match="2-dimensional"):
+            idx.query(((0, 0, 0),))
+        assert idx.query(((0, 1), (1, 1))) == (0, 1)
+
+    @pytest.mark.parametrize("cls", [LinearScanIndex, KdTreeIndex, CurveScanIndex])
+    def test_every_index_rejects_an_empty_collection(self, cls):
+        with pytest.raises(ValueError, match="non-empty"):
+            cls([])
+
+    @pytest.mark.parametrize("cls", [LinearScanIndex, KdTreeIndex, CurveScanIndex])
+    def test_constructors_take_only_their_items(self, cls):
+        params = list(inspect.signature(cls).parameters)
+        assert len(params) == 1 and params[0] in ("points", "curves")
+        with pytest.raises(TypeError):
+            cls([(0, 0)], 2)
+
+    def test_dimension_is_read_off_the_points(self):
+        # enough points that the tree splits on every axis, the last one too
+        pts = [(i % 2, i % 3, i) for i in range(40)]
+        q = (1, 0, Fraction(27, 2))
+        sq, pos = ref_nearest(pts, q)
+        for cls in (LinearScanIndex, KdTreeIndex):
+            idx = cls(pts)
+            assert idx.dim == 3
+            assert idx.query(q) == (pos, sq)
+
+    def test_every_point_sits_in_exactly_one_block(self, monkeypatch):
+        # the linear index is one leaf over all points; the tree adds no
+        # all-points block beside its leaves
+        sizes = []
+
+        class Counted(proximity._Block):
+            __slots__ = ()
+
+            def __init__(self, coords, norms, idxs):
+                sizes.append(len(idxs))
+                super().__init__(coords, norms, idxs)
+
+        monkeypatch.setattr(proximity, "_Block", Counted)
+        pts = [(i % 7, i % 5) for i in range(40)]
+        LinearScanIndex(pts)
+        assert sizes == [40]
+        sizes.clear()
+        KdTreeIndex(pts)
+        assert sum(sizes) == 40 and len(sizes) > 1
 
     def test_frechet_linear_scan(self):
         curves = [((0, 0), (1, 0)), ((10, 10), (11, 10))]

@@ -76,3 +76,23 @@ def test_bad_integer_flag_is_a_usage_error(tmp_path, name, args):
     assert proc.returncode == 2
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert "invalid parse_int value" in proc.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("gadget_delta_sweep.py", ["--deltas", "2/3", "--max-d", "0"],
+         "--max-d must be >= 1, got 0"),
+        ("scaling_experiment.py", ["--quick", "--repeats", "-1"],
+         "--repeats must be >= 0, got -1"),
+    ],
+)
+def test_out_of_range_integer_flag_is_a_usage_error(tmp_path, name, args, message):
+    out_dir = tmp_path / "out"
+    if name == "scaling_experiment.py":  # must not be created for a bad flag
+        args = [*args, "--out-dir", str(out_dir)]
+    proc = run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{name}: error: {message}"
+    assert not out_dir.exists()
