@@ -67,16 +67,18 @@ def bit_vector(bits) -> BitVector:
     return tuple(map(int, vec))
 
 
-_EXACT = (int, Rat)
+_EXACT = frozenset((int, Rat))
 
 
 def point(coords) -> PointD:
     """Freeze a coordinate sequence into a point of exact rationals."""
-    # An int or a Rat is immutable, so it is kept; a bool, float, str or
-    # other number becomes a Rat.
-    pt = tuple(c if type(c) in _EXACT else Rat(c) for c in coords)
+    pt = tuple(coords)
     if not pt:
         raise ValueError("point must have dimension >= 1")
+    # An int or a Rat is immutable, so it is kept, and a tuple of them is
+    # the point itself; a bool, float, str or other number becomes a Rat.
+    if not _EXACT.issuperset(map(type, pt)):
+        pt = tuple(c if type(c) in _EXACT else Rat(c) for c in pt)
     return pt
 
 
@@ -182,6 +184,9 @@ def squared_euclidean(p: PointD, q: PointD) -> SqDist:
     return total
 
 
+_INT = frozenset((int,))
+
+
 def as_integer_grid(
     groups, scale: int = 1
 ) -> tuple[list[list[tuple[int, ...]]], int]:
@@ -200,6 +205,13 @@ def as_integer_grid(
     coordinate is parsed or built and where a result leaves as
     ``Rat(total, L * L)``.
     """
+    kinds = set()
+    for g in groups:
+        for p in g:
+            kinds.update(map(type, p))
+    if scale == 1 and kinds <= _INT:
+        # every denominator is 1 and every coordinate its own numerator
+        return [list(map(tuple, g)) for g in groups], 1
     dens = {x.denominator for g in groups for p in g for x in p}
     grid = lcm(scale, *dens)
     if grid == 1:

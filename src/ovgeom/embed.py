@@ -75,9 +75,13 @@ def embed_point_b(b: BitVector) -> PointD:
 
 def embed_euclid(inst: OvInstance) -> EuclidEmbedding:
     """Embed an instance so closest-pair-at-threshold answers orthogonality."""
+    # Lists first: tuple() of a list takes a tuple of the exact size,
+    # reusing a freed one, while from a generator it grows a new one by
+    # resizing, so freed families would pile up in CPython's per-size
+    # tuple free lists until a full collection.
     return EuclidEmbedding(
-        points_a=tuple(embed_point_a(a) for a in inst.a_side),
-        points_b=tuple(embed_point_b(b) for b in inst.b_side),
+        points_a=tuple([embed_point_a(a) for a in inst.a_side]),
+        points_b=tuple([embed_point_b(b) for b in inst.b_side]),
         tau_sq=Rat(inst.d),
     )
 

@@ -13,18 +13,24 @@ Each index takes only its items and checks them itself (``_point_family``,
 ``_curve_family``), and its ``query`` checks the query the same way; the
 dimension is read off the points.  ``LinearScanIndex`` is the k-d tree
 that never splits: one query walk serves both point indexes, and
-``KdTreeIndex`` differs only in how it builds the tree.  ``bcp_euclid``
-scans the one leaf of a ``LinearScanIndex`` over Q once per point of P.
+``KdTreeIndex`` differs only in how it builds the tree.  The walk keeps a
+stack of far sides.  It descends to a leaf along the near sides, pushing
+each far side with its squared gap to the splitting plane, and after each
+leaf pops far sides until one lies within the squared best radius.
+Popped last in, first out, the nodes come in the order of the recursive
+search.  ``bcp_euclid`` scans the one leaf of a ``LinearScanIndex`` over Q
+once per point of P.
 
 The points one scan visits (one leaf) form a ``_Block``.  A block of at
 least ``_PACK_MIN`` points packs each coordinate column, and the squared
 norms, into one int with a w-byte field per point; a query's keys
 k·|p|² − p·q2 then come out of one big-int multiply per coordinate and
 are read off the bytes of the result.  They are exact when
-B = k·max|p|² + max|coord|·Σ|q2_c| < 2**(8w − 1): B bounds every |key|,
-so each key plus 2**(8w − 1) fills its field without carrying into the
-next.  Each query checks that bound and widens the block when it fails.
-Smaller blocks run ``_nearest``'s point-by-point loop.
+B = k·max|p|² + r·Σ|q2_c| < 2**(8w − 1), where r = ⌊√max|p|²⌋ bounds
+every |coordinate|: B bounds every |key|, so each key plus 2**(8w − 1)
+fills its field without carrying into the next.  Each query checks that
+bound and widens the block when it fails.  Smaller blocks run
+``_nearest``'s point-by-point loop.
 
 Curve collections use the discrete Fréchet distance via one linear scan,
 ``CurveScanIndex``, which ``bcp_frechet`` runs once per curve of P.  Each
@@ -43,7 +49,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
@@ -66,15 +72,15 @@ def _point_family(items, dim: int | None = None) -> list[PointD]:
     """``items`` frozen by ``core.point``: at least one, all of one
     dimension (``dim`` when given, else the first point's)."""
     try:
-        pts = [point(p) for p in items]
+        pts = list(map(point, items))
     except TypeError as exc:
         raise ValueError("expected points, not curves") from exc
     if not pts:
         raise ValueError("a point family must be non-empty")
     dim = dim or len(pts[0])
-    for p in pts:
-        if len(p) != dim:
-            raise ValueError(f"all points must share one dimension: {len(p)} != {dim}")
+    for n in map(len, pts):
+        if n != dim:
+            raise ValueError(f"all points must share one dimension: {n} != {dim}")
     return pts
 
 
@@ -175,13 +181,13 @@ class _Block:
     block never repacks narrower.
     """
 
-    __slots__ = ("coords", "norms", "idxs", "max_norm", "max_abs", "width",
+    __slots__ = ("coords", "norms", "idxs", "max_norm", "coord_bound", "width",
                  "half", "high", "norm_col", "cols")
 
     def __init__(self, coords, norms, idxs):
         self.coords, self.norms, self.idxs = coords, norms, idxs
-        # unpacked: the maxima are measured by the first packed query
-        self.max_norm = self.max_abs = self.width = self.half = 0
+        # unpacked: max_norm and r are measured by the first packed query
+        self.max_norm = self.coord_bound = self.width = self.half = 0
 
     def __len__(self) -> int:
         return len(self.idxs)
@@ -191,8 +197,8 @@ class _Block:
         norms = [self.norms[i] for i in self.idxs]
         if not self.width:
             self.max_norm = max(norms)
-            self.max_abs = max(max(map(abs, p)) for p in rows)
-        w = _field_width(k * self.max_norm + self.max_abs * sum(map(abs, q2)))
+            self.coord_bound = isqrt(self.max_norm)  # r of the module docstring
+        w = _field_width(k * self.max_norm + self.coord_bound * sum(map(abs, q2)))
         self.width, self.half = w, 1 << (8 * w - 1)
         self.high = high = int.from_bytes(self.half.to_bytes(w, _ORDER) * len(rows), _ORDER)
         self.norm_col = _packed(norms, w, high)
@@ -204,7 +210,7 @@ class _Block:
         if len(idxs) < _PACK_MIN:
             return _nearest(self.coords, self.norms, idxs, q2, k, best)
         # B of this query; before the first pack, 0 >= 0 always packs
-        if k * self.max_norm + self.max_abs * sum(map(abs, q2)) >= self.half:
+        if k * self.max_norm + self.coord_bound * sum(map(abs, q2)) >= self.half:
             self._pack(q2, k)
         w = self.width
         total = k * self.norm_col + self.high - sum(map(mul, q2, self.cols))
@@ -287,25 +293,30 @@ class LinearScanIndex:
         k = scale // self.scale
         q2 = [2 * x for x in qg]
         q_norm = sum(map(mul, qg, qg))
-        best = None  # (key, index); set by the first bucket visited
+        # The stack walk of the module docstring, on q's grid: the root's
+        # gap 0 is within the radius 0 it starts with, and every later pop
+        # follows a leaf, which set the radius.
+        best, radius = None, 0  # (key, index); its squared distance k·key + |q|²
+        stack = [(0, self.root)]
+        while stack:
+            gap2, node = stack.pop()
+            if gap2 > radius:
+                continue
+            while node.bucket is None:
+                gap = qg[node.axis] - k * node.split
+                if gap <= 0:
+                    stack.append((gap * gap, node.right))
+                    node = node.left
+                else:
+                    stack.append((gap * gap, node.left))
+                    node = node.right
+            best = node.bucket.nearest(q2, k, best)
+            radius = k * best[0] + q_norm
+        return best[1], Rat(radius, scale * scale)
 
-        def visit(node):
-            nonlocal best
-            if node.bucket is not None:
-                best = node.bucket.nearest(q2, k, best)
-                return
-            gap = qg[node.axis] - k * node.split
-            near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)
-            visit(near)
-            if gap * gap <= k * best[0] + q_norm:  # squared radius on q's grid
-                visit(far)
 
-        visit(self.root)
-        key, i = best
-        return i, Rat(k * key + q_norm, scale * scale)
-
-
-_LEAF_SIZE = 8
+# A k-d node of more points than this splits (see KdTreeIndex)
+_LEAF_SIZE = 32
 
 
 class KdTreeIndex(LinearScanIndex):
@@ -318,6 +329,18 @@ class KdTreeIndex(LinearScanIndex):
     its separating plane strictly exceeds the current best squared radius,
     so results (including smallest-index tie-breaking) match a linear scan
     exactly.
+
+    A node splits while it holds more than ``_LEAF_SIZE`` = 32 points, so
+    most leaves hold 17 to 32 and each scans as one packed ``_Block``;
+    leaves below ``_PACK_MIN`` would scan point by point, which loses to
+    one packed scan of all points from d ≈ 8.  On uniform points (n 512 to
+    8192, d 2 to 8) and embedded points, leaves of 32 and 64 tie on
+    queries: 32 answers faster at d ≤ 4, where the tree is the right
+    index, and 64 at d = 8; 64 builds a shallower tree, about 7% faster
+    over build plus 64 queries.  From d ≈ 11 at n = 512 to 8192 a query
+    scans most leaves, and the tree loses to the linear scan
+    (``BENCH_kdtree-dim.json``), as the OV-based bound says it must once
+    d outgrows log n.
     """
 
     def _build(self, idxs: list[int], depth: int) -> _KdNode:

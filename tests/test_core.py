@@ -107,10 +107,15 @@ class TestValidators:
             point(())
 
     def test_point_keeps_int_and_fraction_and_converts_the_rest(self):
-        kept = point((3, Fraction(1, 2)))
-        assert type(kept[0]) is int and type(kept[1]) is Fraction
+        # ints and Fractions are kept by identity, and so is a tuple of them
+        big, half = 10**30, Fraction(1, 2)
+        exact = (big, half, -7)
+        assert point(exact) is exact
+        assert all(a is b for a, b in zip(point([big, half]), (big, half)))
         for raw in (True, 0.5, "3"):
-            assert type(point((raw,))[0]) is Fraction
+            mixed = point((big, raw, half))
+            assert mixed[0] is big and mixed[2] is half
+            assert type(mixed[1]) is Fraction and mixed[1] == Fraction(raw)
 
     def test_curve_needs_planar_vertices(self):
         with pytest.raises(ValueError, match="at least one vertex"):

@@ -31,6 +31,32 @@ from ovgeom.proximity import (
 )
 
 
+LEAF = proximity._LEAF_SIZE
+
+
+def splitting_kdtree(pts) -> KdTreeIndex:
+    """``nn_build(pts, "euclid-kdtree")``, checked to split at its root, so
+    a query runs the pruning test and not only one leaf."""
+    kd = nn_build(pts, "euclid-kdtree")
+    assert kd.root.bucket is None
+    return kd
+
+
+@st.composite
+def points_that_split(draw, low, high, rest, dim: int):
+    """More than ``_LEAF_SIZE`` points in a drawn order.  At least half take
+    their first coordinate from ``low``, the others from ``high``, whose
+    values all lie above ``low``'s; so the lower median of the first axis
+    lies below its maximum, and the k-d root splits.  The other
+    coordinates come from ``rest``."""
+    n = draw(st.integers(LEAF + 1, LEAF + 12))
+    n_high = draw(st.integers(1, n // 2))
+    firsts = draw(st.lists(low, min_size=n - n_high, max_size=n - n_high))
+    firsts += draw(st.lists(high, min_size=n_high, max_size=n_high))
+    tails = draw(st.lists(st.tuples(*[rest] * (dim - 1)), min_size=n, max_size=n))
+    return draw(st.permutations([(x, *tail) for x, tail in zip(firsts, tails)]))
+
+
 def naive_bcp(p_side, q_side, dist):
     """Test-local oracle: explicit lexicographic minimum over all pairs."""
     return min(
@@ -293,10 +319,13 @@ class TestNnStructures:
         for q in queries:
             assert nn_query(kd, q) == nn_query(lin, q)
 
-    @given(int_points(4, max_n=30), int_points(4, max_n=15))
+    @given(
+        points_that_split(st.integers(-8, 0), st.integers(1, 8), small_coord, 4),
+        int_points(4, max_n=15),
+    )
     def test_kdtree_matches_linear_scan_d4(self, pts, queries):
         lin = nn_build(pts, "euclid-linear")
-        kd = nn_build(pts, "euclid-kdtree")
+        kd = splitting_kdtree(pts)
         for q in queries:
             assert nn_query(kd, q) == nn_query(lin, q)
 
@@ -306,24 +335,56 @@ class TestNnStructures:
         assert nn_query(kd, (0, 0)) == (0, 18)
 
     def test_kdtree_on_collinear_points_beyond_leaf_size(self):
-        pts = [(i, 0) for i in range(30)]
-        kd = nn_build(pts, "euclid-kdtree")
+        # two leaves on x, split at (n - 2) / 2; the query at x = (n - 1) / 2
+        # ties the last left point and the first right one
+        n = 2 * LEAF - 2
+        pts = [(i, 0) for i in range(n)]
+        kd = splitting_kdtree(pts)
         lin = nn_build(pts, "euclid-linear")
-        for qx in (-5, 0, 7, Fraction(29, 2), 40):
+        for qx in (-5, 0, 7, Fraction(n - 1, 2), n + 10):
             q = (qx, 1)
             assert nn_query(kd, q) == nn_query(lin, q)
 
+    def test_tie_across_a_split_plane_goes_to_the_lower_index(self, monkeypatch):
+        # Four leaves of m = _LEAF_SIZE points: x <= 0 | x >= 4 at the root,
+        # then y <= 0 | y >= 20 on each side, in index order left-low,
+        # left-high, right-low, right-high.  The query (2, 0) lies right of
+        # the plane x = 0 at gap 2.  Its nearest right point (4, 0), last of
+        # right-low, and (0, 0), first of left-low and on the plane, are
+        # both at squared distance 4 = gap², so the left side must be
+        # searched although its gap only equals the radius.  The recursive
+        # search visits right-low, right-high (gap 0), left-low, left-high.
+        m = LEAF
+        pts = [(0, 0)] + [(-20 - i, -1 - i) for i in range(m - 1)]
+        pts += [(-20 - i, 20 + i) for i in range(m)]
+        pts += [(20 + i, -1 - i) for i in range(m - 1)] + [(4, 0)]
+        pts += [(20 + i, 20 + i) for i in range(m)]
+        kd = splitting_kdtree(pts)
+        q = (2, 0)
+        visited = []
+        nearest = proximity._Block.nearest
+
+        def recorded(block, *args):
+            visited.append(block.idxs[0])
+            return nearest(block, *args)
+
+        monkeypatch.setattr(proximity._Block, "nearest", recorded)
+        sq, pos = ref_nearest(pts, q)
+        assert (pos, sq) == (0, 4)
+        assert nn_query(kd, q) == (pos, sq)
+        assert visited == [2 * m, 3 * m, 0, m]
+
     @given(
-        st.lists(
-            st.tuples(rational_coord, rational_coord, rational_coord),
-            min_size=9,
-            max_size=30,
+        points_that_split(
+            st.fractions(-8, 0, max_denominator=6),
+            st.fractions(Fraction(1, 6), 8, max_denominator=6),
+            rational_coord,
+            3,
         ),
         st.tuples(rational_coord, rational_coord, rational_coord),
     )
     def test_kdtree_exact_on_rational_coordinates(self, pts, q):
-        # min_size 9 forces at least one internal split (leaf bucket is 8)
-        kd = nn_build(pts, "euclid-kdtree")
+        kd = splitting_kdtree(pts)
         lin = nn_build(pts, "euclid-linear")
         assert nn_query(kd, q) == nn_query(lin, q)
 
@@ -384,6 +445,36 @@ def hostile_families(draw, count: int):
     return families
 
 
+@st.composite
+def hostile_split_families(draw):
+    """Two families of one dimension d in [1, 4], as ``hostile_families``
+    draws them, but the first has more than ``_LEAF_SIZE`` points from the
+    pool and the second mixes pool points with fresh ones.  At least half of
+    the first family lie below the pool's largest first coordinate, and
+    only an axis after the first may be held constant, so the k-d root over
+    the first family splits."""
+    d = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(st.tuples(*[hostile_coord] * d), min_size=2, max_size=6)
+        .filter(lambda ps: len({p[0] for p in ps}) > 1)
+    )
+    top = max(p[0] for p in pool)
+    low = st.sampled_from([p for p in pool if p[0] < top])
+    high = st.sampled_from([p for p in pool if p[0] == top])
+    n = draw(st.integers(LEAF + 1, LEAF + 14))
+    n_high = draw(st.integers(1, n // 2))
+    points = draw(st.lists(low, min_size=n - n_high, max_size=n - n_high))
+    points += draw(st.lists(high, min_size=n_high, max_size=n_high))
+    query = st.sampled_from(pool) | st.tuples(*[hostile_coord] * d)
+    families = [draw(st.permutations(points)),
+                draw(st.lists(query, min_size=1, max_size=14))]
+    axis = draw(st.none() | st.integers(1, d - 1)) if d > 1 else None
+    if axis is not None:
+        value = draw(hostile_coord)
+        families = [[p[:axis] + (value,) + p[axis + 1:] for p in fam] for fam in families]
+    return families
+
+
 def assert_nn_matches_reference(pts, queries):
     for metric in ("euclid-linear", "euclid-kdtree"):
         idx = nn_build(pts, metric)
@@ -409,6 +500,11 @@ class TestIntegerKernelsAgainstFractionReference:
     def test_nn_on_hostile_families(self, fams):
         assert_nn_matches_reference(*fams)
 
+    @given(hostile_split_families())
+    def test_nn_on_hostile_families_that_split_the_kdtree(self, fams):
+        splitting_kdtree(fams[0])
+        assert_nn_matches_reference(*fams)
+
     def test_coprime_denominators(self):
         ps = [(Fraction(1, 999983), 0), (Fraction(-1, 1000003), Fraction(1, 999983))]
         qs = [(Fraction(1, 1000003), Fraction(-1, 999983)), (0, 0)]
@@ -417,13 +513,15 @@ class TestIntegerKernelsAgainstFractionReference:
 
     def test_query_denominator_outside_the_index_grid(self):
         # Index scale 3; the queries' denominators 999983 and 7 do not
-        # divide it.  Twenty points give the k-d tree a split at x = 1003;
-        # the first query lies just right of it, next to a left point, while
-        # every right point is 100 away in y, so the far side must be
+        # divide it.  Two groups of m points, one more than half a leaf,
+        # give the k-d tree a split at x = 1003, the left group's last
+        # point; the first query lies just right of it, next to that point,
+        # while every right point is 100 away in y, so the far side must be
         # searched.  Far from the origin, the squared-radius test there
         # only holds when it uses the full distance.
-        pts = [(1000 + Fraction(i, 3), 1000) for i in range(10)]
-        pts += [(1004 + Fraction(i, 3), 1100) for i in range(10)]
+        m = LEAF // 2 + 1
+        pts = [(1003 - Fraction(m - 1 - i, 3), 1000) for i in range(m)]
+        pts += [(1004 + Fraction(i, 3), 1100) for i in range(m)]
         for metric in ("euclid-linear", "euclid-kdtree"):
             assert nn_build(pts, metric).scale == 3
         queries = [
@@ -432,7 +530,9 @@ class TestIntegerKernelsAgainstFractionReference:
             (Fraction(3019, 3), 1100),
         ]
         assert_nn_matches_reference(pts, queries)
-        assert nn_query(nn_build(pts, "euclid-kdtree"), queries[0])[0] == 9
+        kd = splitting_kdtree(pts)
+        assert kd.root.split == 1003 * 3
+        assert nn_query(kd, queries[0])[0] == m - 1
 
     def test_dimension_one_with_negatives(self):
         pts = [(-5,), (Fraction(-9, 2),), (3,), (-5,)]
