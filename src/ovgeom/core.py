@@ -24,6 +24,8 @@ Conventions
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 from math import lcm
@@ -220,3 +222,40 @@ def as_integer_grid(
         [tuple(x.numerator * (grid // x.denominator) for x in p) for p in g]
         for g in groups
     ], grid
+
+
+# Packed integers.  A packed int holds one value per w-byte field, value j
+# in field j: Σ_j values[j]·2**(8wj), the little-endian bytes of the fields
+# in order.  One big-int operation then acts on every field at once; the
+# Euclidean scans of ``ovgeom.proximity`` and the Fréchet kernels of
+# ``ovgeom.frechet`` both build theirs here.
+
+# array type codes of the widths that a little-endian host packs natively;
+# a big-endian host packs every width byte by byte
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+
+def _field_width(bound: int) -> int:
+    """Bytes per field holding every value in [−bound, bound] with a sign
+    (or guard) bit to spare.
+
+    The smallest of 1, 2, 4 and 8 with bound < 2**(8w − 1), else the
+    smallest multiple of 8 with that property.
+    """
+    bits = bound.bit_length() + 1  # the sign bit
+    for w in (1, 2, 4, 8):
+        if bits <= 8 * w:
+            return w
+    return -(-bits // 64) * 8
+
+
+def _packed(values, w: int, high: int = 0) -> int:
+    """Σ_j values[j]·2**(8wj) for values in [−2**(8w−1), 2**(8w−1)), where
+    ``high`` has 2**(8w−1) in each of the len(values) w-byte fields (0 when
+    every value is >= 0)."""
+    if w in _SIGNED:
+        raw = array(_SIGNED[w], values)
+    else:
+        raw = b"".join(v.to_bytes(w, "little", signed=True) for v in values)
+    # flipping each two's-complement field's top bit adds 2**(8w−1) to it
+    return (int.from_bytes(raw, "little") ^ high) - high

@@ -47,12 +47,12 @@ spatial index for curves.
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
 from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
+from .core import _field_width, _packed
 from .frechet import _grid_value
 
 __all__ = [
@@ -134,34 +134,9 @@ def _nearest(coords, norms, idxs, q2, k, best=None) -> tuple[int, int]:
 # packed keys costs more than the per-point loop they replace.
 _PACK_MIN = 10
 
-_ORDER = sys.byteorder
-# array / memoryview type codes of the field widths read natively, in bytes
-_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
-_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _field_width(bound: int) -> int:
-    """Bytes per field holding every key in [−bound, bound] plus the offset.
-
-    The smallest of 1, 2, 4 and 8 with bound < 2**(8w − 1), else the
-    smallest multiple of 8 with that property.
-    """
-    bits = bound.bit_length() + 1  # the sign bit
-    for w in (1, 2, 4, 8):
-        if bits <= 8 * w:
-            return w
-    return -(-bits // 64) * 8
-
-
-def _packed(values, w: int, high: int) -> int:
-    """Σ_j values[j]·2**(8wj) for values in [−2**(8w−1), 2**(8w−1)), where
-    ``high`` has 2**(8w−1) in each of the len(values) w-byte fields."""
-    if w in _SIGNED:
-        raw = array(_SIGNED[w], values)
-    else:
-        raw = b"".join(v.to_bytes(w, _ORDER, signed=True) for v in values)
-    # flipping each two's-complement field's top bit adds 2**(8w−1) to it
-    return (int.from_bytes(raw, _ORDER) ^ high) - high
+# memoryview type codes of the field widths a little-endian host reads
+# natively; a big-endian host reads every width byte by byte
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 class _Block:
@@ -200,7 +175,7 @@ class _Block:
             self.coord_bound = isqrt(self.max_norm)  # r of the module docstring
         w = _field_width(k * self.max_norm + self.coord_bound * sum(map(abs, q2)))
         self.width, self.half = w, 1 << (8 * w - 1)
-        self.high = high = int.from_bytes(self.half.to_bytes(w, _ORDER) * len(rows), _ORDER)
+        self.high = high = int.from_bytes(self.half.to_bytes(w, "little") * len(rows), "little")
         self.norm_col = _packed(norms, w, high)
         self.cols = [_packed(col, w, high) for col in zip(*rows)]
 
@@ -214,11 +189,11 @@ class _Block:
             self._pack(q2, k)
         w = self.width
         total = k * self.norm_col + self.high - sum(map(mul, q2, self.cols))
-        raw = total.to_bytes(len(idxs) * w, _ORDER)
+        raw = total.to_bytes(len(idxs) * w, "little")
         if w in _UNSIGNED:
             fields = memoryview(raw).cast(_UNSIGNED[w]).tolist()
         else:
-            fields = [int.from_bytes(raw[s:s + w], _ORDER) for s in range(0, len(raw), w)]
+            fields = [int.from_bytes(raw[s:s + w], "little") for s in range(0, len(raw), w)]
         low = min(fields)  # list.index finds its first, lowest-index field
         found = (low - self.half, idxs[fields.index(low)])
         return best if best is not None and best < found else found

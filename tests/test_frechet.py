@@ -1,12 +1,15 @@
 """Curve-distance dynamic programs against the traversal-enumeration oracle."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_coord, small_coord
+from ovgeom import frechet
 from ovgeom.core import as_integer_grid, curve, squared_euclidean
 from ovgeom.frechet import (
     brute_force_frechet_sq,
@@ -206,6 +209,188 @@ class TestFrechetDecideAgainstValue:
         else:
             p, q, value = (p0, p1, p2), (q0,) + (q1,) * (m - 2) + (q2,), Fraction(1, 4)
         assert frechet_sq_value(p, q) == value
+        assert_decides_at_the_value(p, q)
+
+
+@pytest.fixture(scope="class")
+def packed_kernels():
+    """Every pair on the packed kernels, q's columns in strips of 3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frechet, "_WAVE_MIN", 1)
+        mp.setattr(frechet, "_MASK_MIN", 1)
+        mp.setattr(frechet, "_STRIP", 3)
+        yield
+
+
+@pytest.mark.usefixtures("packed_kernels")
+class TestFrechetSqPacked(TestFrechetSq):
+    """``TestFrechetSq`` with every pair on the wavefront."""
+
+
+@pytest.mark.usefixtures("packed_kernels")
+class TestFrechetSqValuePacked(TestFrechetSqValue):
+    """``TestFrechetSqValue`` with every pair on the wavefront."""
+
+
+@pytest.mark.usefixtures("packed_kernels")
+class TestFrechetDecidePacked(TestFrechetDecide):
+    """``TestFrechetDecide`` with every mask from one packed compare."""
+
+
+@pytest.mark.usefixtures("packed_kernels")
+class TestFrechetDecideAgainstValuePacked(TestFrechetDecideAgainstValue):
+    """``TestFrechetDecideAgainstValue`` on the packed kernels."""
+
+
+def _walk(rng, n, step=3, pool=None):
+    """n vertices of a lattice walk, or n draws from ``pool``."""
+    if pool is not None:
+        return [rng.choice(pool) for _ in range(n)]
+    x = y = 0
+    out = []
+    for _ in range(n):
+        out.append((x, y))
+        x += rng.randint(-step, step)
+        y += rng.randint(-step, step)
+    return out
+
+
+def _coordinate(rng, kind):
+    if kind == "wide":  # fields wider than 8 bytes
+        return rng.randint(-(10**30), 10**30)
+    return Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 5, 7, 11, 13]))
+
+
+@st.composite
+def long_curve_pairs(draw):
+    """Two curves of 20 to 300 vertices, either longer: walks, wide or
+    rational coordinates, constant curves, or vertices repeated from a
+    small pool."""
+    n, m = draw(st.integers(20, 300)), draw(st.integers(20, 300))
+    kind = draw(st.sampled_from(["walk", "wide", "rational", "constant", "pool"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "walk":
+        return _walk(rng, n), _walk(rng, m)
+    if kind == "constant":
+        return [(3, -1)] * n, [_walk(rng, 1)[0]] * m
+    coord_kind = "wide" if kind == "wide" else "rational"
+    pool = [(_coordinate(rng, coord_kind), _coordinate(rng, coord_kind)) for _ in range(5)]
+    if kind == "pool":
+        return _walk(rng, n, pool=pool), _walk(rng, m, pool=pool)
+    return (
+        [(_coordinate(rng, kind), _coordinate(rng, kind)) for _ in range(n)],
+        [(_coordinate(rng, kind), _coordinate(rng, kind)) for _ in range(m)],
+    )
+
+
+def _rows_backtrack(table):
+    """The traversal ``frechet_sq`` defines, read off a table of rows."""
+    i, j = len(table) - 1, len(table[0]) - 1
+    steps = [(i, j)]
+    while (i, j) != (0, 0):
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best, pick = table[i - 1][j - 1], (i - 1, j - 1)
+            if table[i - 1][j] < best:
+                best, pick = table[i - 1][j], (i - 1, j)
+            if table[i][j - 1] < best:
+                pick = (i, j - 1)
+            i, j = pick
+        steps.append((i, j))
+    return tuple(reversed(steps))
+
+
+def _wave_table(ip, iq):
+    """The wavefront's table of ip against iq (len(iq) <= len(ip)) as rows."""
+    return [[row[j] for j in range(len(iq))] for row in frechet._wave_rows(ip, iq, False)]
+
+
+class TestWavefrontAgainstRows:
+    """The packed wavefront against the row loop on long pairs, on both
+    sides of ``_WAVE_MIN`` and of a strip boundary."""
+
+    @settings(max_examples=40)
+    @given(long_curve_pairs(), st.sampled_from([256, 64, 7]))
+    def test_value_table_and_traversal(self, pq, strip):
+        p, q = pq
+        (ip, iq), scale = as_integer_grid([curve(p), curve(q)])
+        table = list(frechet._rows(ip, iq))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frechet, "_STRIP", strip)
+            res = frechet_sq(p, q)
+            value = frechet_sq_value(p, q)
+            longer, shorter = (ip, iq) if len(iq) <= len(ip) else (iq, ip)
+            wave = _wave_table(longer, shorter)
+        assert res.sq_value == value == Fraction(table[-1][-1], scale * scale)
+        assert res.traversal == _rows_backtrack(table)
+        assert wave == list(frechet._rows(longer, shorter))
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 8, 15, 16, 31, 32, 60, 63, 64, 100])
+    def test_fields_at_the_guard_bit(self, k):
+        # Every distance of p against q is 0 or 2**(2k + 1), the bound
+        # itself: a power of two next to a field's guard bit.
+        far = (1 << k, 1 << k)
+        p = [(0, 0), far] * 20
+        q = [far] * 15 + [(0, 0)] * 16
+        (ip, iq), _ = as_integer_grid([curve(p), curve(q)])
+        table = list(frechet._rows(ip, iq))
+        res = frechet_sq(p, q)
+        assert res.sq_value == table[-1][-1] == 1 << 2 * k + 1
+        assert res.traversal == _rows_backtrack(table)
+        assert _wave_table(ip, iq) == table
+        assert frechet_decide(p, q, res.sq_value)
+        assert not frechet_decide(p, q, res.sq_value - 1)
+
+    def test_unbalanced_pairs_both_ways(self):
+        rng = random.Random("frechet:unbalanced")
+        p, q = _walk(rng, 600), _walk(rng, 40)
+        (ip, iq), _ = as_integer_grid([curve(p), curve(q)])
+        table = list(frechet._rows(ip, iq))
+        flipped = list(frechet._rows(iq, ip))
+        assert frechet_sq(p, q).traversal == _rows_backtrack(table)
+        assert frechet_sq(q, p).traversal == _rows_backtrack(flipped)
+        assert frechet_sq_value(p, q) == frechet_sq_value(q, p) == table[-1][-1]
+
+    def test_value_memory_is_linear(self):
+        # Unstripped, the skewed matrix of two 1024-vertex walks with
+        # 4-byte fields takes 1024 · 2047 · 4 bytes, about 8 MB.
+        rng = random.Random("frechet:memory")
+        p, q = _walk(rng, 1024), _walk(rng, 1024)
+        w = frechet._frame(p, q)[2]
+        assert w == 4
+        tracemalloc.start()
+        try:
+            frechet_sq_value(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 2047 * w // 4
+
+
+class TestDecideOnLongWalks:
+    """Both mask builders against the value on walks of 128 to 300."""
+
+    @pytest.mark.parametrize("mask_min", [10, 10**9], ids=["packed", "string"])
+    @pytest.mark.parametrize("n, m, pool", [(128, 128, False), (300, 131, False),
+                                            (140, 300, False), (256, 200, True)])
+    def test_at_the_value_and_limits_beyond(self, monkeypatch, mask_min, n, m, pool):
+        monkeypatch.setattr(frechet, "_MASK_MIN", mask_min)
+        rng = random.Random(f"frechet:decide:{n}:{m}")
+        shared = _walk(rng, 12) if pool else None
+        ip, iq = _walk(rng, n, pool=shared), _walk(rng, m, pool=shared)
+        value = frechet._grid_value(ip, iq)
+        top = max(squared_euclidean(a, b) for a in ip for b in iq)
+        assert frechet._grid_decide(ip, iq, value)
+        assert not frechet._grid_decide(ip, iq, value - 1)
+        assert not frechet._grid_decide(ip, iq, -1)
+        assert frechet._grid_decide(ip, iq, top)
+        assert frechet._grid_decide(ip, iq, 10**40)
+        # the rational boundary on a grid of scale 6
+        p = [(Fraction(x, 2), Fraction(y, 3)) for x, y in ip]
+        q = [(Fraction(x, 2), Fraction(y, 3)) for x, y in iq]
         assert_decides_at_the_value(p, q)
 
 
