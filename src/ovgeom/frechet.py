@@ -20,11 +20,11 @@ The distance is handled squared end to end.  Three routes are provided:
 
 The bottleneck recurrence of Eiter & Mannila (1994),
 T[i][j] = max(D[i][j], min(T[i−1][j], T[i][j−1], T[i−1][j−1])), has two
-kernels.  ``_rows`` runs it a row at a time on lists of ints.  ``_wave``
-runs it on packed ints: a pair translated so that every coordinate is
->= 0 (distances do not change) has every squared distance within
-bound = Δx² + Δy², so a field of w bytes with bound < 2**(8w − 1) holds any
-of them below a guard bit.  With q's columns X, Y and squared norms N
+kernels.  ``_rows`` runs it a row at a time on lists of ints, for the
+value DP of short pairs only.  ``_wave`` runs it on packed ints: a pair
+translated so that every coordinate is >= 0 (distances do not change)
+has every squared distance within bound = Δx² + Δy², so a field of w
+bytes with bound < 2**(8w − 1) holds any of them below a guard bit.  With q's columns X, Y and squared norms N
 packed once, the distances from a vertex (x, y) of p to all of q are one
 packed row, N + (x² + y²)·ONES − 2x·X − 2y·Y: a multiply per coordinate,
 every field exact.  The packed vector runs along the shorter curve, q,
@@ -41,9 +41,9 @@ enters the next as the entry from its left.
 
 Memory beyond the two grid curves, for n = len(p), m = len(q) <= n:
 
-* ``frechet_sq``: the row loop keeps all n rows of m ints; the wavefront
-  keeps every strip's anti-diagonals, about (n + 256)·m·w bytes, and
-  one ``_WaveRow`` view per row for the backtrack;
+* ``frechet_sq``: every strip's anti-diagonals, about (n + 256)·m·w
+  bytes, which its backtrack reads in place: T[i−1][j] and T[i][j−1]
+  are adjacent fields of one anti-diagonal, so one shift gives both;
 * ``frechet_sq_value``: the row loop keeps two rows of m ints; the
   wavefront a ring of at most 256² fields, two anti-diagonals and the
   carried column of n ints, linear in n + m at any size (unstripped, the
@@ -56,15 +56,15 @@ the guard bit of field j of (limit + 2**(8w − 1))·ONES − row is set iff
 cell j is within the limit, and those guard bytes, taken by one strided
 slice, are mapped by ``bytes.translate`` to the digits ``int(…, 2)`` reads.
 
-Short pairs keep the list kernels, where packing costs more than it
-saves: the DP below a shorter curve of ``_WAVE_MIN`` = 32 vertices, the
-masks below a q of ``_MASK_MIN`` = 10.  In a sweep over random walks,
-embedded curves and disjunction-gadget pairs of equal lengths, the value
-DP on the wavefront broke even with ``_rows`` at 24 to 28 vertices and
-``frechet_sq``, whose backtrack reads packed cells, at 28 to 32; on walks
-of 256 against s vertices both broke even near s = 12.  Packed masks
-broke even on gadget pairs at 8 to 10 and won at every length on long
-walks (``BENCH_frechet-wave.json``).
+``frechet_sq`` always runs the wavefront.  The value DP and the masks
+keep the list kernels on short pairs, where packing costs more than it
+saves: the value DP below a shorter curve of ``_WAVE_MIN`` = 32
+vertices, the masks below a q of ``_MASK_MIN`` = 10.  In a sweep over
+random walks, embedded curves and disjunction-gadget pairs of equal
+lengths, the value DP on the wavefront broke even with ``_rows`` at 24 to
+28 vertices; on walks of 256 against s vertices it broke even near
+s = 12.  Packed masks broke even on gadget pairs at 8 to 10 and won at
+every length on long walks (``BENCH_frechet-wave.json``).
 
 ``brute_force_frechet_sq`` enumerates every monotone traversal and is the
 reference oracle for the dynamic programs; it is exponential and refuses
@@ -150,9 +150,9 @@ def _rows(ip: list[tuple[int, int]], iq: list[tuple[int, int]]):
         prev = cur
 
 
-# The measured crossovers of the module docstring: a pair whose shorter
-# curve has fewer vertices than _WAVE_MIN runs ``_rows``, and a decider
-# whose q has fewer than _MASK_MIN builds its masks from strings.
+# The measured crossovers of the module docstring: a value DP whose
+# shorter curve has fewer vertices than _WAVE_MIN runs ``_rows``, and a
+# decider whose q has fewer than _MASK_MIN builds its masks from strings.
 _WAVE_MIN = 32
 _MASK_MIN = 10
 # q's columns per wavefront strip
@@ -269,31 +269,6 @@ def _wavefront(ip, iq, keep: bool):
     return col[-1], w, strips
 
 
-class _WaveRow:
-    """Row i of a table ``_wavefront`` kept, read a cell at a time: ``[j]``
-    is T[i][j], or T[j][i] of the kept table when ``flip``."""
-
-    __slots__ = ("i", "strips", "bits", "mask", "flip")
-
-    def __init__(self, i, strips, w, flip):
-        self.i, self.strips, self.flip = i, strips, flip
-        self.bits, self.mask = 8 * w, (1 << 8 * w) - 1
-
-    def __getitem__(self, j):
-        i = self.i
-        if self.flip:
-            i, j = j, i
-        s, f = divmod(j, _STRIP)
-        return self.strips[s][i + f] >> self.bits * f & self.mask
-
-
-def _wave_rows(ip, iq, flip: bool):
-    """The table of ip against iq (len(iq) <= len(ip)) on the wavefront, as
-    rows of the pair before ``flip`` swapped it."""
-    _, w, strips = _wavefront(ip, iq, keep=True)
-    return [_WaveRow(i, strips, w, flip) for i in range(len(iq) if flip else len(ip))]
-
-
 def frechet_sq(p, q) -> FrechetResult:
     """Full dynamic program with traversal recovery.
 
@@ -301,33 +276,48 @@ def frechet_sq(p, q) -> FrechetResult:
     (i, j-1), which pins down one deterministic optimal traversal among ties.
     """
     (ip, iq), scale = as_integer_grid([curve(p), curve(q)])
-    n, m = len(ip), len(iq)
-    if min(n, m) < _WAVE_MIN:
-        table = list(_rows(ip, iq))
-    elif m <= n:
-        table = _wave_rows(ip, iq, False)
-    else:  # the packed fields run along the shorter curve
-        table = _wave_rows(iq, ip, True)
+    flip = len(iq) > len(ip)
+    if flip:  # the packed fields run along the shorter curve
+        ip, iq = iq, ip
+    value, w, strips = _wavefront(ip, iq, keep=True)
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    top = bits * (_STRIP - 1)  # the last field of a full strip
 
-    steps = [(n - 1, m - 1)]
-    i, j = n - 1, m - 1
-    while (i, j) != (0, 0):
-        if i == 0:
-            i, j = 0, j - 1
-        elif j == 0:
-            i, j = i - 1, 0
+    # Cell (i, j) is field f = j % _STRIP of anti-diagonal i + f of strip
+    # j // _STRIP.  T[i−1][j] and T[i][j−1] lie on one anti-diagonal.
+    i, j = len(ip) - 1, len(iq) - 1
+    steps = [(i, j)]
+    while i or j:
+        if not i:
+            j -= 1
+        elif not j:
+            i -= 1
         else:
-            # prefer diagonal, then the (i-1, j) predecessor, then (i, j-1)
-            best = table[i - 1][j - 1]
-            pick = (i - 1, j - 1)
-            if table[i - 1][j] < best:
-                best, pick = table[i - 1][j], (i - 1, j)
-            if table[i][j - 1] < best:
-                pick = (i, j - 1)
-            i, j = pick
+            s, f = divmod(j, _STRIP)
+            diags = strips[s]
+            if f:
+                pair = diags[i + f - 1] >> bits * (f - 1)
+                up, side = pair >> bits & mask, pair & mask
+                diag = diags[i + f - 2] >> bits * (f - 1) & mask
+            else:  # column j − 1 is the last of the strip before
+                up = diags[i - 1] & mask
+                diags = strips[s - 1]
+                side = diags[i + _STRIP - 1] >> top & mask
+                diag = diags[i + _STRIP - 2] >> top & mask
+            # prefer diagonal, then (i-1, j), then (i, j-1) in the caller's
+            # frame, where a flipped table's side cell is (i-1, j)
+            if diag <= up and diag <= side:
+                i -= 1
+                j -= 1
+            elif up < side or up == side and not flip:
+                i -= 1
+            else:
+                j -= 1
         steps.append((i, j))
     steps.reverse()
-    return FrechetResult(Rat(table[n - 1][m - 1], scale * scale), tuple(steps))
+    if flip:
+        steps = [(j, i) for i, j in steps]
+    return FrechetResult(Rat(value, scale * scale), tuple(steps))
 
 
 def _grid_value(ip: list[tuple[int, int]], iq: list[tuple[int, int]]) -> int:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .core import BitVector, Curve2, OvInstance, Rat, SqDist
-from .core import as_integer_grid, squared_euclidean
+from .core import as_integer_grid, bit_vector, squared_euclidean
 from .frechet import frechet_decide
 from .ov import ov_decide
 
@@ -131,6 +131,7 @@ def vector_gadget(z: BitVector, side: str, cfg: GadgetConfig) -> Curve2:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     if not z:
         raise ValueError("vector gadget needs a non-empty vector")
+    z = bit_vector(z)  # an entry other than 0/1 would index another vertex type
     return tuple(_gadget(_tables(cfg.delta, len(z))[0], 4 if side == "a" else 6, z))
 
 

@@ -214,7 +214,9 @@ class TestFrechetDecideAgainstValue:
 
 @pytest.fixture(scope="class")
 def packed_kernels():
-    """Every pair on the packed kernels, q's columns in strips of 3."""
+    """Every pair on the packed kernels, q's columns in strips of 3:
+    ``frechet_sq`` always runs the wavefront, and ``_WAVE_MIN`` = 1 moves
+    the value DP onto it too."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frechet, "_WAVE_MIN", 1)
         mp.setattr(frechet, "_MASK_MIN", 1)
@@ -304,8 +306,13 @@ def _rows_backtrack(table):
 
 
 def _wave_table(ip, iq):
-    """The wavefront's table of ip against iq (len(iq) <= len(ip)) as rows."""
-    return [[row[j] for j in range(len(iq))] for row in frechet._wave_rows(ip, iq, False)]
+    """The wavefront's table of ip against iq (len(iq) <= len(ip)) as rows,
+    read off the kept strips: cell (i, j) is field j % _STRIP of
+    anti-diagonal i + j % _STRIP of strip j // _STRIP."""
+    _, w, strips = frechet._wavefront(ip, iq, keep=True)
+    cells = [divmod(j, frechet._STRIP) for j in range(len(iq))]
+    mask = (1 << 8 * w) - 1
+    return [[strips[s][i + f] >> 8 * w * f & mask for s, f in cells] for i in range(len(ip))]
 
 
 class TestWavefrontAgainstRows:
@@ -313,7 +320,7 @@ class TestWavefrontAgainstRows:
     sides of ``_WAVE_MIN`` and of a strip boundary."""
 
     @settings(max_examples=40)
-    @given(long_curve_pairs(), st.sampled_from([256, 64, 7]))
+    @given(long_curve_pairs(), st.sampled_from([256, 64, 7, 2, 1]))
     def test_value_table_and_traversal(self, pq, strip):
         p, q = pq
         (ip, iq), scale = as_integer_grid([curve(p), curve(q)])

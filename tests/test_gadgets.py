@@ -100,6 +100,13 @@ class TestVectorGadget:
         with pytest.raises(ValueError, match="non-empty"):
             vector_gadget((), "a", cfg)
 
+    @pytest.mark.parametrize("z", [(2,), (-1,), (0, 1, 2)])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_rejects_entries_other_than_zero_and_one(self, cfg, z, side):
+        # on side a, an entry of 2 read a b-side vertex and -1 the t_sync point
+        with pytest.raises(ValueError, match="0 or 1"):
+            vector_gadget(z, side, cfg)
+
     @given(instances(max_n=1, max_d=8))
     def test_pairwise_decision_matches_orthogonality(self, inst):
         # Sound at every dimension: a- and b-vertices of different index
