@@ -216,8 +216,6 @@ def as_integer_grid(
         return [list(map(tuple, g)) for g in groups], 1
     dens = {x.denominator for g in groups for p in g for x in p}
     grid = lcm(scale, *dens)
-    if grid == 1:
-        return [[tuple(x.numerator for x in p) for p in g] for g in groups], 1
     return [
         [tuple(x.numerator * (grid // x.denominator) for x in p) for p in g]
         for g in groups

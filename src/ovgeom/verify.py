@@ -17,6 +17,10 @@ unbalanced-nn   nearest-neighbor structure on the embedded A side, queried
 The embeddings emit int coordinates, so euclid-embed and frechet-embed
 decide on them as they are, and ov-to-frechet on the gadget's vertex types
 gridded once per (delta, d); none of the three builds a Fraction.
+
+One step per instance checks the caps, runs and times the oracle and hashes
+the instance once for all its kinds, so ``oracle_ns`` is one measurement
+repeated on each kind's report; ``verify_reduction`` is its one-kind case.
 """
 
 from __future__ import annotations
@@ -112,18 +116,11 @@ _SOLVERS = {
 KINDS = tuple(_SOLVERS)
 
 
-def verify_reduction(
-    kind: str,
-    inst: OvInstance,
-    _flip: bool = False,
-) -> ReductionReport:
-    """Run one reduction and compare its decision with the pair-scan oracle.
-
-    ``_flip`` inverts the reduced answer; it exists so tests can prove the
-    harness actually catches disagreements.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown reduction kind {kind!r}; pick from {KINDS}")
+def _verify_instance(
+    inst: OvInstance, kinds: tuple[str, ...], flip: str | None
+) -> list[ReductionReport]:
+    """Check each of ``kinds`` on one instance, in order, against one oracle
+    run; ``flip`` names the kind whose reduced answer is inverted, if any."""
     if inst.n_a > _MAX_N or inst.n_b > _MAX_N:
         raise ValueError(f"instance sides {inst.n_a}x{inst.n_b} exceed cap {_MAX_N}")
     if inst.d > _MAX_D:
@@ -131,23 +128,31 @@ def verify_reduction(
 
     t0 = time.perf_counter_ns()
     oracle_answer = ov_decide(inst) is not None
-    t1 = time.perf_counter_ns()
-    reduced_answer = _SOLVERS[kind](inst)
-    t2 = time.perf_counter_ns()
-    if _flip:
-        reduced_answer = not reduced_answer
+    oracle_ns = time.perf_counter_ns() - t0
+    iid = instance_id(inst)
+    reports = []
+    for kind in kinds:
+        t1 = time.perf_counter_ns()
+        answer = _SOLVERS[kind](inst)
+        reduced_ns = time.perf_counter_ns() - t1
+        reports.append(ReductionReport(
+            kind, iid, inst.n_a, inst.n_b, inst.d,
+            oracle_answer, answer != (kind == flip), oracle_ns, reduced_ns,
+        ))
+    return reports
 
-    return ReductionReport(
-        kind=kind,
-        instance_id=instance_id(inst),
-        n_a=inst.n_a,
-        n_b=inst.n_b,
-        d=inst.d,
-        oracle_answer=oracle_answer,
-        reduced_answer=reduced_answer,
-        oracle_ns=t1 - t0,
-        reduced_ns=t2 - t1,
-    )
+
+def verify_reduction(kind: str, inst: OvInstance, _flip: bool = False) -> ReductionReport:
+    """Run one reduction and compare its decision with the pair-scan oracle.
+
+    The one-kind case of the per-instance step.  ``_flip`` inverts the
+    reduced answer; it exists so tests can prove the harness actually
+    catches disagreements.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown reduction kind {kind!r}; pick from {KINDS}")
+    (report,) = _verify_instance(inst, (kind,), kind if _flip else None)
+    return report
 
 
 def run_verify(
@@ -184,9 +189,7 @@ def run_verify(
             d=rng.randint(1, max_d),
             seed=rng.randrange(2**32),
         )
-        inst = generate(spec)
-        for kind in kinds:
-            reports.append(verify_reduction(kind, inst, _flip=(kind == corrupt_kind)))
+        reports.extend(_verify_instance(generate(spec), kinds, corrupt_kind))
     return reports
 
 

@@ -192,3 +192,12 @@ class TestIntegerGrid:
         assert g5 == [(12, -3, 0, 60, 14)]
         (g,), scale = as_integer_grid([[point((1, -2, 3, 0, 9)), point((4, 4, 4, 4, 4))]])
         assert scale == 1 and g == [(1, -2, 3, 0, 9), (4, 4, 4, 4, 4)]
+
+    def test_integer_valued_rationals_come_out_as_plain_ints(self):
+        for groups, scale, want in (
+            ([[(Rat(3), Rat(-4)), (True, 2)]], 1, [[(3, -4), (1, 2)]]),
+            ([[(Rat(3), 1)]], 5, [[(15, 5)]]),
+        ):
+            got = as_integer_grid(groups, scale)
+            assert got == (want, scale)
+            assert {type(x) for g in got[0] for p in g for x in p} == {int}

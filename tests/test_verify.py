@@ -1,5 +1,7 @@
 """Reduction-verification harness: agreement, caps, and the corrupt hook."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given
 
@@ -104,6 +106,44 @@ class TestRunVerify:
         for kind in KINDS:
             if kind != "frechet-embed":
                 assert all(by_kind[kind])
+
+    def test_oracle_and_instance_id_run_once_per_instance(self, monkeypatch):
+        calls = {"ov_decide": 0, "instance_id": 0}
+
+        def counted(name):
+            inner = getattr(verify, name)
+
+            def wrapper(inst):
+                calls[name] += 1
+                return inner(inst)
+
+            monkeypatch.setattr(verify, name, wrapper)
+
+        counted("ov_decide")
+        counted("instance_id")
+        assert len(run_verify(trials=6, max_n=4, max_d=3, seed=5)) == 6 * len(KINDS)
+        assert calls == {"ov_decide": 6, "instance_id": 6}
+
+    def test_reports_match_verify_reduction_on_each_instance(self, monkeypatch):
+        made = []
+
+        def recording_generate(spec):
+            made.append(generate(spec))
+            return made[-1]
+
+        monkeypatch.setattr(verify, "generate", recording_generate)
+        reports = run_verify(trials=30, max_n=5, max_d=4, seed=3)
+        assert len(made) == 30 and len(reports) == 30 * len(KINDS)
+
+        def untimed(r):
+            return replace(r, oracle_ns=0, reduced_ns=0)
+
+        for i, inst in enumerate(made):
+            rows = reports[i * len(KINDS):(i + 1) * len(KINDS)]
+            assert [untimed(r) for r in rows] == [
+                untimed(verify_reduction(kind, inst)) for kind in KINDS
+            ]
+            assert len({r.oracle_ns for r in rows}) == 1
 
     def test_empty_kinds_and_zero_trials(self):
         assert run_verify(kinds=(), trials=10) == []
