@@ -47,11 +47,40 @@ class FormatError(ValueError):
     """Malformed on-disk content."""
 
 
+def _long_str(n: int) -> str:
+    """``str(n)`` past CPython's int/str digit limit (4300 digits unless
+    ``sys.set_int_max_str_digits`` changed it): the digits are converted in
+    parts split at a power of ten.  The process-wide limit is left alone."""
+    if n < 0:
+        return "-" + _long_str(-n)
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of n's digits (log10 2 > 0.3)
+        hi, lo = divmod(n, 10**k)
+        return _long_str(hi) + _long_str(lo).zfill(k)
+
+
+def _long_int(token: str) -> int:
+    """``int(token)`` for an integer token past the digit limit, likewise."""
+    if token[0] in "+-":
+        n = _long_int(token[1:])
+        return -n if token[0] == "-" else n
+    try:
+        return int(token)
+    except ValueError:
+        k = len(token) // 2
+        return _long_int(token[:-k]) * 10**k + _long_int(token[-k:])
+
+
 def format_rat(r: int | Rat) -> str:
     # an exact int or Rat already has both parts; anything else converts
     if type(r) not in _EXACT:
         r = Rat(r)
-    return f"{r.numerator}/{r.denominator}"
+    try:
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:  # past the digit limit
+        return f"{_long_str(r.numerator)}/{_long_str(r.denominator)}"
 
 
 # The whole integer grammar, and the whole rational grammar: an ASCII
@@ -65,13 +94,19 @@ def parse_rat(token: str) -> int | Rat:
     if m is None:
         raise FormatError(f"bad rational token {token!r}")
     num, den = m.groups()
-    return Rat(int(num), int(den)) if den else int(num)
+    try:
+        return Rat(int(num), int(den)) if den else int(num)
+    except ValueError:  # past the digit limit
+        return Rat(_long_int(num), _long_int(den)) if den else _long_int(num)
 
 
 def parse_int(token: str) -> int:
     if _INT_TOKEN.fullmatch(token) is None:
         raise FormatError(f"bad integer token {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past the digit limit
+        return _long_int(token)
 
 
 def _data_lines(text: str) -> list[list[str]]:
@@ -87,7 +122,10 @@ def _data_lines(text: str) -> list[list[str]]:
 def _ints(row: list[str], n: int | None = None) -> list[int]:
     if not all(map(_INT_TOKEN.fullmatch, row)):
         raise FormatError(f"expected integers, got {row!r}")
-    vals = [int(tok) for tok in row]
+    try:
+        vals = [int(tok) for tok in row]
+    except ValueError:  # past the digit limit
+        vals = [_long_int(tok) for tok in row]
     if n is not None and len(vals) != n:
         raise FormatError(f"expected {n} fields, got {len(vals)}: {row!r}")
     return vals

@@ -28,9 +28,11 @@ k·|p|² − p·q2 then come out of one big-int multiply per coordinate and
 are read off the bytes of the result.  They are exact when
 B = k·max|p|² + r·Σ|q2_c| < 2**(8w − 1), where r = ⌊√max|p|²⌋ bounds
 every |coordinate|: B bounds every |key|, so each key plus 2**(8w − 1)
-fills its field without carrying into the next.  Each query checks that
-bound and widens the block when it fails.  Smaller blocks run
-``_nearest``'s point-by-point loop.
+fills its field without carrying into the next.  A block measures
+max|p|² and r once, when built; a query checks B and, when it fails,
+replaces the block's pack (one tuple) whole, so every query scans one
+consistent pack and an index may be shared between threads.  Smaller
+blocks run ``_nearest``'s point-by-point loop.
 
 Curve collections use the discrete Fréchet distance via one linear scan,
 ``CurveScanIndex``, which ``bcp_frechet`` runs once per curve of P.  Each
@@ -142,8 +144,8 @@ _UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {
 class _Block:
     """The points ``coords[i]`` for i in ``idxs`` (ascending), scanned as one.
 
-    Blocks of at least ``_PACK_MIN`` points are packed at a field width of
-    w bytes: N = Σ_j |p_j|²·2**(8wj) for the squared norms, and one such
+    Its ``pack`` is the tuple (2**(8w−1), w, H, N, (C_c)) at a field width
+    of w bytes: N = Σ_j |p_j|²·2**(8wj) for the squared norms, and one such
     int C_c per coordinate column c.  For a query (q2, k) as in
     ``_nearest``, field j of
 
@@ -151,51 +153,47 @@ class _Block:
 
     is read as an unsigned w-byte int and holds key_j + 2**(8w−1): exact
     whenever every key lies in [−2**(8w−1), 2**(8w−1)), which each query
-    checks by the bound B of the module docstring.  A query whose B does
-    not fit repacks the block at the narrowest width that holds it; a
-    block never repacks narrower.
+    checks by the bound B of the module docstring (its max|p|² and r are
+    measured when the block is built).  A query reads the pack once; when
+    its B does not fit, it stores a new pack at the narrowest width that
+    holds it in one assignment.  Blocks below ``_PACK_MIN`` have no pack.
     """
 
-    __slots__ = ("coords", "norms", "idxs", "max_norm", "coord_bound", "width",
-                 "half", "high", "norm_col", "cols")
+    __slots__ = ("coords", "norms", "idxs", "max_norm", "coord_bound", "pack")
 
     def __init__(self, coords, norms, idxs):
         self.coords, self.norms, self.idxs = coords, norms, idxs
-        # unpacked: max_norm and r are measured by the first packed query
-        self.max_norm = self.coord_bound = self.width = self.half = 0
+        self.pack = None
+        if len(idxs) >= _PACK_MIN:
+            self.max_norm = max([norms[i] for i in idxs])
+            self.coord_bound = isqrt(self.max_norm)  # r of the module docstring
+            self.pack = (0, 0, 0, 0, ())  # 2**(8w−1) = 0: the first query packs
 
     def __len__(self) -> int:
         return len(self.idxs)
 
-    def _pack(self, q2, k) -> None:
-        rows = [self.coords[i] for i in self.idxs]
-        norms = [self.norms[i] for i in self.idxs]
-        if not self.width:
-            self.max_norm = max(norms)
-            self.coord_bound = isqrt(self.max_norm)  # r of the module docstring
-        w = _field_width(k * self.max_norm + self.coord_bound * sum(map(abs, q2)))
-        self.width, self.half = w, 1 << (8 * w - 1)
-        self.high = high = int.from_bytes(self.half.to_bytes(w, "little") * len(rows), "little")
-        self.norm_col = _packed(norms, w, high)
-        self.cols = [_packed(col, w, high) for col in zip(*rows)]
-
     def nearest(self, q2, k, best=None) -> tuple[int, int]:
         """``_nearest`` over this block's points, seeded by ``best`` alike."""
-        idxs = self.idxs
-        if len(idxs) < _PACK_MIN:
+        idxs, pack = self.idxs, self.pack
+        if pack is None:
             return _nearest(self.coords, self.norms, idxs, q2, k, best)
-        # B of this query; before the first pack, 0 >= 0 always packs
-        if k * self.max_norm + self.coord_bound * sum(map(abs, q2)) >= self.half:
-            self._pack(q2, k)
-        w = self.width
-        total = k * self.norm_col + self.high - sum(map(mul, q2, self.cols))
+        bound = k * self.max_norm + self.coord_bound * sum(map(abs, q2))  # B
+        if bound >= pack[0]:
+            w = _field_width(bound)
+            half = 1 << (8 * w - 1)
+            high = int.from_bytes(half.to_bytes(w, "little") * len(idxs), "little")
+            rows = [self.coords[i] for i in idxs]
+            pack = self.pack = (half, w, high, _packed([self.norms[i] for i in idxs], w, high),
+                                tuple(_packed(col, w, high) for col in zip(*rows)))
+        half, w, high, norm_col, cols = pack
+        total = k * norm_col + high - sum(map(mul, q2, cols))
         raw = total.to_bytes(len(idxs) * w, "little")
         if w in _UNSIGNED:
             fields = memoryview(raw).cast(_UNSIGNED[w]).tolist()
         else:
             fields = [int.from_bytes(raw[s:s + w], "little") for s in range(0, len(raw), w)]
         low = min(fields)  # list.index finds its first, lowest-index field
-        found = (low - self.half, idxs[fields.index(low)])
+        found = (low - half, idxs[fields.index(low)])
         return best if best is not None and best < found else found
 
 

@@ -170,9 +170,11 @@ def run_verify(
     answers (testing hook).  Deterministic in ``seed``.
     """
     kinds = tuple(kinds)
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in KINDS:
             raise ValueError(f"unknown reduction kind {kind!r}; pick from {KINDS}")
+        if kind in kinds[:i]:
+            raise ValueError(f"reduction kind {kind!r} is named twice")
     if corrupt_kind is not None and corrupt_kind not in kinds:
         raise ValueError(f"corrupt kind {corrupt_kind!r} is not among the kinds run")
     if trials < 0:

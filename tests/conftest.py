@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies and the acceptance-line reporter."""
+"""Shared hypothesis strategies, test helpers and the acceptance-line reporter."""
 
 from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -137,6 +140,17 @@ def rat_curves(max_len: int = 5):
 def int_points(dim: int, max_n: int = 12):
     coords = st.tuples(*[small_coord] * dim)
     return st.lists(coords, min_size=1, max_size=max_n)
+
+
+@contextmanager
+def digit_limit_lifted():
+    """CPython's int/str digit limit lifted, for computing references."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from conftest import (
     MALFORMED_CURVE_SETS,
     MALFORMED_INSTANCES,
     MALFORMED_POINT_SETS,
+    digit_limit_lifted,
     instances,
 )
 from ovgeom import __version__
@@ -127,6 +128,17 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "ov", "--in", str(path))
         assert code == 0
         assert out == "no-witness\n"
+
+    def test_bcp_euclid_prints_a_square_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        # 3,000 digits parse within CPython's default limit of 4300; the
+        # squared distance has 6,000
+        with digit_limit_lifted():
+            want = f"pair 1 1 sq {int('7' * 3000) ** 2}/1\n"
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text(f"1 1\n{'7' * 3000}\n")
+        q.write_text("1 1\n0\n")
+        code, out, err = run_cli(capsys, "solve", "bcp-euclid", "--in-p", str(p), "--in-q", str(q))
+        assert (code, out, err) == (0, want, "")
 
     def test_frechet_value_and_decision(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
@@ -509,6 +521,7 @@ class TestVerify:
             ["--kinds", "euclid-embed", "--corrupt-kind", "ov-to-bcp", "--trials", "2"],
             ["--max-n", "0"],
             ["--max-d", "40", "--trials", "50"],
+            ["--kinds", "euclid-embed,euclid-embed", "--trials", "5"],
         ],
     )
     def test_argument_that_would_mislead_is_usage_error(self, capsys, argv):

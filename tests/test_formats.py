@@ -11,6 +11,7 @@ from conftest import (
     MALFORMED_CURVE_SETS,
     MALFORMED_INSTANCES,
     MALFORMED_POINT_SETS,
+    digit_limit_lifted,
     instances,
     rat_curves,
 )
@@ -61,6 +62,22 @@ class TestRatTokens:
     @given(st.fractions(max_denominator=10**6))
     def test_round_trip(self, r):
         assert parse_rat(format_rat(r)) == r
+
+    @pytest.mark.parametrize("digits", [4299, 4301, 10_000])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_round_trip_past_the_int_str_digit_limit(self, digits, sign):
+        # CPython's str() and int() refuse more than 4300 digits by default
+        n = sign * ((10**digits - 1) // 7)  # 142857..., of exactly ``digits`` digits
+        r = Fraction(n, 10**digits + 1)
+        with digit_limit_lifted():
+            text, rat_text = str(n), f"{r.numerator}/{r.denominator}"
+        assert len(text.lstrip("-")) == digits
+        assert (format_rat(n), format_rat(r)) == (text + "/1", rat_text)
+        assert parse_int(text) == parse_rat(text) == n
+        assert parse_rat(rat_text) == r
+        assert parse_point_set(f"1 2\n{text} {rat_text}\n") == ((n, r),)
+        # a bit token past the limit goes through the integer grammar too
+        assert parse_instance(f"1 1 1\n{'0' * digits}1\n0\n") == ov_instance([(1,)], [(0,)])
 
     def test_format_converts_only_inexact_types(self):
         assert format_rat(True) == "1/1"

@@ -1,6 +1,9 @@
 """Closest-pair scans and nearest-neighbor structures vs fresh oracles."""
 
 import inspect
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -778,10 +781,34 @@ class TestPackedBlockAgainstLoop:
         wide, narrow = [2**40, -(2**41)], [2, -4]
         block = block_and_loop(coords, range(n), [(wide, 1, None), (narrow, 1, None),
                                                   (narrow, 5, None), (wide, 3, None)])
-        assert block.width == 8
+        assert block.pack[1] == 8
         block = block_and_loop(coords, range(n), [(narrow, 1, None), (wide, 1, None),
                                                   (narrow, 1, None)])
-        assert block.width == 8
+        assert block.pack[1] == 8
+
+    def test_a_query_scans_the_pack_it_read(self):
+        # The second pass over q2 first runs a wide query on the same block,
+        # as another thread's query could at that point; the wide query
+        # repacks the block, and the narrow one must still read its keys
+        # off the pack it started with.
+        n = proximity._PACK_MIN + 2
+        coords = [(x % 5 - 2, 3 - x % 4) for x in range(n)]
+        narrow = [2, -4]
+        block = block_and_loop(coords, range(n), [(narrow, 1, None)])
+
+        class Interrupted(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                if self.passes == 2:
+                    block.nearest([2**40, -(2**41)], 1)
+                return super().__iter__()
+
+        want = proximity._nearest(coords, proximity._sq_norms(coords), range(n), narrow, 1)
+        assert want[0] == -1
+        assert block.nearest(Interrupted(narrow), 1) == want
+        assert block.pack[1] == 8
 
     def test_wide_fields_from_coprime_denominators(self):
         # as_integer_grid puts these on a grid of scale ~2**100, so keys
@@ -795,7 +822,7 @@ class TestPackedBlockAgainstLoop:
         (grid,), _ = proximity.as_integer_grid([pts])
         q2s = [[2 * x for x in p] for p in grid[:3]]
         block = block_and_loop(grid, range(len(grid)), [(q2, 1, None) for q2 in q2s])
-        assert block.width > 8
+        assert block.pack[1] > 8
 
     def test_kdtree_buckets_have_a_length(self):
         # the k-d tree's leaves are blocks; their lengths cover every point
@@ -808,3 +835,51 @@ class TestPackedBlockAgainstLoop:
             else:
                 sizes.append(len(node.bucket))
         assert sum(sizes) == 50 and max(sizes) >= proximity._PACK_MIN
+
+
+# ---------------------------------------------------------------------------
+# One index shared between threads.
+# ---------------------------------------------------------------------------
+
+
+def test_threads_sharing_an_index_get_a_linear_scans_answers():
+    # Queries rising in magnitude make a fresh index repack its blocks wider
+    # while another thread scans them.  A tiny switch interval lets threads
+    # change places inside a query; every answer must still equal a
+    # brute-force scan, and no thread may raise.
+    rng = random.Random(7)
+    cases = []
+    for cls, n in ((LinearScanIndex, 40), (KdTreeIndex, 300)):
+        pts = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(n)]
+        queries = [tuple(rng.randint(-(2**e), 2**e) for _ in range(3))
+                   for e in range(0, 72, 3)]
+        want = [min((sum((a - b) ** 2 for a, b in zip(p, q)), i) for i, p in enumerate(pts))
+                for q in queries]
+        cases.append((cls, pts, queries, [(i, sq) for sq, i in want]))
+    wrong, raised = [], []
+
+    def run(index, queries, want):
+        try:
+            for q, answer in zip(queries, want):
+                if index.query(q) != answer:
+                    wrong.append((q, answer))
+        except Exception as exc:  # reported by the assertion below
+            raised.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            for cls, pts, queries, want in cases:
+                index = cls(pts)
+                threads = [threading.Thread(target=run, args=(index, queries[s:] + queries[:s],
+                                                              want[s:] + want[:s]))
+                           for s in (0, len(queries) // 2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not raised and not wrong, (raised[:3], wrong[:3])

@@ -152,6 +152,8 @@ class TestRunVerify:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown reduction kind"):
             run_verify(kinds=("bogus",), trials=1)
+        with pytest.raises(ValueError, match="kind 'euclid-embed' is named twice"):
+            run_verify(kinds=("euclid-embed", "ov-to-bcp", "euclid-embed"), trials=1)
         with pytest.raises(ValueError, match="trials"):
             run_verify(trials=-1)
 
