@@ -226,11 +226,14 @@ def as_integer_grid(
 # in field j: Σ_j values[j]·2**(8wj), the little-endian bytes of the fields
 # in order.  One big-int operation then acts on every field at once; the
 # Euclidean scans of ``ovgeom.proximity`` and the Fréchet kernels of
-# ``ovgeom.frechet`` both build theirs here.
+# ``ovgeom.frechet`` both use theirs.  The format lives here alone: the
+# type codes and the byte-order test below, ``_packed`` and ``_fields``.
 
-# array type codes of the widths that a little-endian host packs natively;
-# a big-endian host packs every width byte by byte
-_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+# array/memoryview codes of unsigned 1-, 2-, 4- and 8-byte fields (lower
+# case: signed).  A little-endian host packs and reads these natively; any
+# other host or width goes byte by byte.
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_NATIVE = sys.byteorder == "little"
 
 
 def _field_width(bound: int) -> int:
@@ -251,9 +254,17 @@ def _packed(values, w: int, high: int = 0) -> int:
     """Σ_j values[j]·2**(8wj) for values in [−2**(8w−1), 2**(8w−1)), where
     ``high`` has 2**(8w−1) in each of the len(values) w-byte fields (0 when
     every value is >= 0)."""
-    if w in _SIGNED:
-        raw = array(_SIGNED[w], values)
+    if _NATIVE and w in _UNSIGNED:
+        raw = array(_UNSIGNED[w].lower(), values)
     else:
         raw = b"".join(v.to_bytes(w, "little", signed=True) for v in values)
     # flipping each two's-complement field's top bit adds 2**(8w−1) to it
     return (int.from_bytes(raw, "little") ^ high) - high
+
+
+def _fields(total: int, n: int, w: int) -> list[int]:
+    """The n unsigned w-byte fields of 0 <= total < 2**(8wn), field 0 first."""
+    raw = total.to_bytes(n * w, "little")
+    if _NATIVE and w in _UNSIGNED:
+        return memoryview(raw).cast(_UNSIGNED[w]).tolist()
+    return [int.from_bytes(raw[s:s + w], "little") for s in range(0, n * w, w)]

@@ -48,9 +48,9 @@ class FormatError(ValueError):
 
 
 def _long_str(n: int) -> str:
-    """``str(n)`` past CPython's int/str digit limit (4300 digits unless
-    ``sys.set_int_max_str_digits`` changed it): the digits are converted in
-    parts split at a power of ten.  The process-wide limit is left alone."""
+    """``str(n)`` by one ``str`` call, or past CPython's int/str digit limit
+    (4300 digits unless ``sys.set_int_max_str_digits`` changed it) in parts
+    split at a power of ten.  The process-wide limit is left alone."""
     if n < 0:
         return "-" + _long_str(-n)
     try:
@@ -62,7 +62,7 @@ def _long_str(n: int) -> str:
 
 
 def _long_int(token: str) -> int:
-    """``int(token)`` for an integer token past the digit limit, likewise."""
+    """``int(token)`` for an integer token, by one ``int`` call or likewise."""
     if token[0] in "+-":
         n = _long_int(token[1:])
         return -n if token[0] == "-" else n
@@ -77,10 +77,7 @@ def format_rat(r: int | Rat) -> str:
     # an exact int or Rat already has both parts; anything else converts
     if type(r) not in _EXACT:
         r = Rat(r)
-    try:
-        return f"{r.numerator}/{r.denominator}"
-    except ValueError:  # past the digit limit
-        return f"{_long_str(r.numerator)}/{_long_str(r.denominator)}"
+    return f"{_long_str(r.numerator)}/{_long_str(r.denominator)}"
 
 
 # The whole integer grammar, and the whole rational grammar: an ASCII
@@ -103,10 +100,7 @@ def parse_rat(token: str) -> int | Rat:
 def parse_int(token: str) -> int:
     if _INT_TOKEN.fullmatch(token) is None:
         raise FormatError(f"bad integer token {token!r}")
-    try:
-        return int(token)
-    except ValueError:  # past the digit limit
-        return _long_int(token)
+    return _long_int(token)
 
 
 def _data_lines(text: str) -> list[list[str]]:
@@ -122,10 +116,7 @@ def _data_lines(text: str) -> list[list[str]]:
 def _ints(row: list[str], n: int | None = None) -> list[int]:
     if not all(map(_INT_TOKEN.fullmatch, row)):
         raise FormatError(f"expected integers, got {row!r}")
-    try:
-        vals = [int(tok) for tok in row]
-    except ValueError:  # past the digit limit
-        vals = [_long_int(tok) for tok in row]
+    vals = [_long_int(tok) for tok in row]
     if n is not None and len(vals) != n:
         raise FormatError(f"expected {n} fields, got {len(vals)}: {row!r}")
     return vals

@@ -78,7 +78,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import floor
 
-from .core import Rat, SqDist, _field_width, _packed, as_integer_grid, curve, sq_dist
+from .core import Rat, SqDist, as_integer_grid, curve, sq_dist
+from .core import _UNSIGNED, _field_width, _packed
 
 __all__ = [
     "Traversal",
@@ -157,8 +158,6 @@ _WAVE_MIN = 32
 _MASK_MIN = 10
 # q's columns per wavefront strip
 _STRIP = 256
-# array type codes that move one field, or one 8-byte unit of a wider one
-_UNIT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _frame(ip, iq):
@@ -208,9 +207,10 @@ def _wave(rows, iq, x0, y0, w, left):
     # A ring of the distance matrix's anti-diagonals: D[i][j] sits in
     # field j of slot (i + j) mod s, so row k, written just before
     # anti-diagonal k is read, is two strides of s + 1 fields.  A field
-    # wider than 8 bytes moves as c 8-byte units.
+    # wider than 8 bytes moves as c 8-byte units; units are moved, never
+    # read, so the host's byte order does not matter.
     size = min(w, 8)
-    unit, c = _UNIT[size], w // size
+    unit, c = _UNSIGNED[size], w // size
     sc = s * c  # units per slot
     ring = array(unit, bytes(s * s * w))
     view = memoryview(ring)

@@ -48,13 +48,12 @@ spatial index for curves.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import isqrt, lcm
 from operator import mul
 
 from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
-from .core import _field_width, _packed
+from .core import _field_width, _fields, _packed
 from .frechet import _grid_value
 
 __all__ = [
@@ -136,10 +135,6 @@ def _nearest(coords, norms, idxs, q2, k, best=None) -> tuple[int, int]:
 # packed keys costs more than the per-point loop they replace.
 _PACK_MIN = 10
 
-# memoryview type codes of the field widths a little-endian host reads
-# natively; a big-endian host reads every width byte by byte
-_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
-
 
 class _Block:
     """The points ``coords[i]`` for i in ``idxs`` (ascending), scanned as one.
@@ -186,12 +181,7 @@ class _Block:
             pack = self.pack = (half, w, high, _packed([self.norms[i] for i in idxs], w, high),
                                 tuple(_packed(col, w, high) for col in zip(*rows)))
         half, w, high, norm_col, cols = pack
-        total = k * norm_col + high - sum(map(mul, q2, cols))
-        raw = total.to_bytes(len(idxs) * w, "little")
-        if w in _UNSIGNED:
-            fields = memoryview(raw).cast(_UNSIGNED[w]).tolist()
-        else:
-            fields = [int.from_bytes(raw[s:s + w], "little") for s in range(0, len(raw), w)]
+        fields = _fields(k * norm_col + high - sum(map(mul, q2, cols)), len(idxs), w)
         low = min(fields)  # list.index finds its first, lowest-index field
         found = (low - half, idxs[fields.index(low)])
         return best if best is not None and best < found else found
@@ -317,21 +307,28 @@ class KdTreeIndex(LinearScanIndex):
     """
 
     def _build(self, idxs: list[int], depth: int) -> _KdNode:
-        if len(idxs) <= _LEAF_SIZE:
-            return super()._build(idxs, depth)
-        axis = depth % self.dim
-        coords = sorted(self.coords[i][axis] for i in idxs)
-        split = coords[(len(coords) - 1) // 2]  # lower median
-        left = [i for i in idxs if self.coords[i][axis] <= split]
-        right = [i for i in idxs if self.coords[i][axis] > split]
-        if not right:  # all coordinates on this axis coincide with the median
-            return super()._build(idxs, depth)
-        return _KdNode(
-            axis=axis,
-            split=split,
-            left=self._build(left, depth + 1),
-            right=self._build(right, depth + 1),
-        )
+        # One explicit stack, as the query walk keeps: a split can peel a
+        # single point off (each axis of embedded one-hot points holds one
+        # point away from the median), so the tree can be about n deep.
+        root = _KdNode()
+        stack = [(root, idxs, depth)]
+        while stack:
+            node, idxs, depth = stack.pop()
+            if len(idxs) > _LEAF_SIZE:
+                axis = depth % self.dim
+                coords = sorted(self.coords[i][axis] for i in idxs)
+                split = coords[(len(coords) - 1) // 2]  # lower median
+                right = [i for i in idxs if self.coords[i][axis] > split]
+                # no right side: all coordinates on this axis equal the median
+                if right:
+                    node.axis, node.split = axis, split
+                    node.left, node.right = _KdNode(), _KdNode()
+                    left = [i for i in idxs if self.coords[i][axis] <= split]
+                    stack.append((node.right, right, depth + 1))
+                    stack.append((node.left, left, depth + 1))
+                    continue
+            node.bucket = _Block(self.coords, self.norms, idxs)
+        return root
 
 
 def _grid_curve(c: Curve2) -> tuple[list[tuple[int, int]], int]:

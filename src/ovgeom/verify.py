@@ -15,8 +15,11 @@ unbalanced-nn   nearest-neighbor structure on the embedded A side, queried
                 with every embedded B point.
 
 The embeddings emit int coordinates, so euclid-embed and frechet-embed
-decide on them as they are, and ov-to-frechet on the gadget's vertex types
-gridded once per (delta, d); none of the three builds a Fraction.
+decide on them as they are, at the embedding's own threshold tau_sq: on a
+grid of scale 1 an int squared distance is within tau_sq iff it is within
+floor(tau_sq).  ov-to-frechet decides on the gadget's vertex types gridded
+once per (delta, d), at the gadget's threshold 1; none of the three builds
+a Fraction.
 
 One step per instance checks the caps, runs and times the oracle and hashes
 the instance once for all its kinds, so ``oracle_ns`` is one measurement
@@ -29,6 +32,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
+from math import floor
 
 from .core import OvInstance, squared_euclidean
 from .embed import embed_euclid, embed_frechet
@@ -76,10 +80,10 @@ def instance_id(inst: OvInstance) -> str:
 
 
 def _solve_euclid_pairs(inst: OvInstance) -> bool:
-    # the point embedding is on the integer grid of scale 1; tau_sq = d
     emb = embed_euclid(inst)
+    limit = floor(emb.tau_sq)  # the embedding's grid has scale 1
     return any(
-        squared_euclidean(p, q) <= inst.d for p in emb.points_a for q in emb.points_b
+        squared_euclidean(p, q) <= limit for p in emb.points_a for q in emb.points_b
     )
 
 
@@ -89,9 +93,9 @@ def _solve_bcp(inst: OvInstance) -> bool:
 
 
 def _solve_frechet_pairs(inst: OvInstance) -> bool:
-    # the curve embedding's grid has scale 1, so its threshold 1 is the limit
     emb = embed_frechet(inst)
-    return any(_grid_decide(p, q, 1) for p in emb.curves_a for q in emb.curves_b)
+    limit = floor(emb.tau_sq)  # the embedding's grid has scale 1
+    return any(_grid_decide(p, q, limit) for p in emb.curves_a for q in emb.curves_b)
 
 
 def _solve_or_gadget(inst: OvInstance) -> bool:

@@ -1,5 +1,6 @@
 """Domain types and exact arithmetic primitives."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bit_vectors, int_curves, rat_curves, rational_coord, vector_pairs
+from ovgeom import core
 from ovgeom.core import (
     OvInstance,
     Rat,
+    _fields,
+    _packed,
     as_integer_grid,
     bit_vector,
     curve,
@@ -19,6 +23,8 @@ from ovgeom.core import (
     sq_dist,
     squared_euclidean,
 )
+from ovgeom.frechet import frechet_decide, frechet_sq, frechet_sq_value
+from ovgeom.proximity import KdTreeIndex, bcp_euclid
 
 
 class TestInnerProduct:
@@ -201,3 +207,55 @@ class TestIntegerGrid:
             got = as_integer_grid(groups, scale)
             assert got == (want, scale)
             assert {type(x) for g in got[0] for p in g for x in p} == {int}
+
+
+class TestPackedFields:
+    """``_packed`` and ``_fields`` agree with Σ_j v_j·2**(8wj) at every
+    width, on this host's path and on the byte-by-byte one every other
+    host takes."""
+
+    @pytest.fixture(params=["host", "bytewise"])
+    def route(self, request, monkeypatch):
+        if request.param == "bytewise":
+            monkeypatch.setattr(core, "_NATIVE", False)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 16])
+    def test_pack_and_read_round_trip(self, route, w):
+        half = 1 << (8 * w - 1)
+        values = [-half, -1, 0, 1, half - 1]
+        high = sum(half << 8 * w * j for j in range(len(values)))
+        packed = _packed(values, w, high)
+        assert packed == sum(v << 8 * w * j for j, v in enumerate(values))
+        assert _fields(packed + high, len(values), w) == [v + half for v in values]
+        naturals = [0, 1, half - 1]
+        packed = _packed(naturals, w)
+        assert packed == sum(v << 8 * w * j for j, v in enumerate(naturals))
+        assert _fields(packed, len(naturals), w) == naturals
+
+    def test_kernels_answer_alike_byte_by_byte(self, monkeypatch):
+        rng = random.Random(27)
+        cases = []
+        # fields of 2, 4, 8 and 24 bytes in the point scans and curve kernels
+        for r in (9, 10**4, 10**8, 10**20):
+            pts = [tuple(rng.randint(-r, r) for _ in range(3)) for _ in range(40)]
+            qs = [tuple(rng.randint(-r, r) for _ in range(3)) for _ in range(5)]
+            p = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(40)]
+            q = [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(36)]
+            cases.append((pts, qs, p, q))
+
+        def answers():
+            out = []
+            for pts, qs, p, q in cases:
+                kd = KdTreeIndex(pts)
+                value = frechet_sq_value(p, q)
+                out.append((
+                    bcp_euclid(qs, pts), [kd.query(x) for x in qs],
+                    frechet_sq(p, q), value,
+                    frechet_decide(p, q, value), frechet_decide(p, q, value - 1),
+                ))
+            return out
+
+        native = answers()
+        assert all(a[4] and not a[5] for a in native)
+        monkeypatch.setattr(core, "_NATIVE", False)
+        assert answers() == native

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import instances, int_curves, int_points, rational_coord, small_coord
 from ovgeom import proximity
-from ovgeom.core import curve, point, squared_euclidean
+from ovgeom.core import curve, ov_instance, point, squared_euclidean
 from ovgeom.embed import embed_euclid, embed_frechet
 from ovgeom.frechet import (
     brute_force_frechet_sq,
@@ -346,6 +346,16 @@ class TestNnStructures:
         lin = nn_build(pts, "euclid-linear")
         for qx in (-5, 0, 7, Fraction(n - 1, 2), n + 10):
             q = (qx, 1)
+            assert nn_query(kd, q) == nn_query(lin, q)
+
+    def test_kdtree_on_one_hot_points_deeper_than_the_recursion_limit(self):
+        # each split on an embedded one-hot axis peels off one point, so the
+        # tree is n − 31 = 1069 levels deep, past the default limit of 1000
+        rows = [[int(i == j) for j in range(1100)] for i in range(1100)]
+        emb = embed_euclid(ov_instance(rows, rows[:2]))
+        kd = nn_build(emb.points_a, "euclid-kdtree")
+        lin = nn_build(emb.points_a, "euclid-linear")
+        for q in emb.points_b:
             assert nn_query(kd, q) == nn_query(lin, q)
 
     def test_tie_across_a_split_plane_goes_to_the_lower_index(self, monkeypatch):

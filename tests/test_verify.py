@@ -1,6 +1,7 @@
 """Reduction-verification harness: agreement, caps, and the corrupt hook."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -64,6 +65,22 @@ class TestVerifyReduction:
         rep = verify_reduction("ov-to-bcp", ALL_ONES, _flip=True)
         assert not rep.agree
         assert rep.reduced_answer is True
+
+    @pytest.mark.parametrize(
+        ("kind", "embedder", "wrong"),
+        [("euclid-embed", "embed_euclid", 5), ("frechet-embed", "embed_frechet", 0)],
+    )
+    def test_embedding_kinds_decide_at_the_embeddings_threshold(
+        self, monkeypatch, kind, embedder, wrong
+    ):
+        # below the planted pair's distance (d = 6 for points, 1 for curves)
+        real = getattr(verify, embedder)
+        monkeypatch.setattr(
+            verify, embedder, lambda inst: replace(real(inst), tau_sq=Fraction(wrong))
+        )
+        inst = generate(GenSpec("planted-orthogonal", n=8, d=6, seed=12))
+        rep = verify_reduction(kind, inst)
+        assert rep.oracle_answer is True and rep.reduced_answer is False
 
 
 class TestInstanceId:
