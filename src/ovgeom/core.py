@@ -72,6 +72,14 @@ def bit_vector(bits) -> BitVector:
 _EXACT = frozenset((int, Rat))
 
 
+def _rat(value) -> Rat:
+    """``Rat(value)``, raising ``ValueError`` for an infinity as for a NaN."""
+    try:
+        return Rat(value)
+    except OverflowError:
+        raise ValueError(f"expected a finite number, got {value!r}") from None
+
+
 def point(coords) -> PointD:
     """Freeze a coordinate sequence into a point of exact rationals."""
     pt = tuple(coords)
@@ -80,7 +88,7 @@ def point(coords) -> PointD:
     # An int or a Rat is immutable, so it is kept, and a tuple of them is
     # the point itself; a bool, float, str or other number becomes a Rat.
     if not _EXACT.issuperset(map(type, pt)):
-        pt = tuple(c if type(c) in _EXACT else Rat(c) for c in pt)
+        pt = tuple(c if type(c) in _EXACT else _rat(c) for c in pt)
     return pt
 
 
@@ -97,7 +105,7 @@ def curve(points) -> Curve2:
 
 def sq_dist(value) -> SqDist:
     """Coerce to an exact nonnegative rational (used at parse boundaries)."""
-    r = Rat(value)
+    r = _rat(value)
     if r < 0:
         raise ValueError(f"squared distance must be >= 0, got {r}")
     return r

@@ -71,6 +71,13 @@ def _random_bits(rng: random.Random, n: int, d: int) -> list[list[int]]:
     return [[rng.randrange(2) for _ in range(d)] for _ in range(n)]
 
 
+def _planted_draw(rng: random.Random, n: int, d: int):
+    """The planted family's draw: (a_rows, b_rows, ia, ib), before the plant."""
+    a_rows = _random_bits(rng, n, d)
+    b_rows = _random_bits(rng, n, d)
+    return a_rows, b_rows, rng.randrange(n), rng.randrange(n)
+
+
 def generate(spec: GenSpec) -> OvInstance:
     """Materialize the instance a spec describes (deterministic in the spec)."""
     rng = random.Random(f"{spec.seed}:{spec.tag}")
@@ -80,10 +87,7 @@ def generate(spec: GenSpec) -> OvInstance:
         return ov_instance(_random_bits(rng, n, d), _random_bits(rng, n, d))
 
     if spec.family == "planted-orthogonal":
-        a_rows = _random_bits(rng, n, d)
-        b_rows = _random_bits(rng, n, d)
-        ia = rng.randrange(n)
-        ib = rng.randrange(n)
+        a_rows, b_rows, ia, ib = _planted_draw(rng, n, d)
         b_rows[ib] = [0 if a_bit else b_bit for a_bit, b_bit in zip(a_rows[ia], b_rows[ib])]
         return ov_instance(a_rows, b_rows)
 
@@ -103,11 +107,10 @@ def generate(spec: GenSpec) -> OvInstance:
 def planted_witness(spec: GenSpec) -> OvWitness:
     """Recompute the pair that 'planted-orthogonal' forced to be orthogonal.
 
-    Replays the generator's random stream; only valid for that family.
+    Replays the generator's draw; only valid for that family.
     """
     if spec.family != "planted-orthogonal":
         raise ValueError(f"no planted witness in family {spec.family!r}")
     rng = random.Random(f"{spec.seed}:{spec.tag}")
-    _random_bits(rng, spec.n, spec.d)
-    _random_bits(rng, spec.n, spec.d)
-    return OvWitness(index_a=rng.randrange(spec.n), index_b=rng.randrange(spec.n))
+    _, _, ia, ib = _planted_draw(rng, spec.n, spec.d)
+    return OvWitness(index_a=ia, index_b=ib)

@@ -12,14 +12,14 @@ closest-pair scans.
 Each index takes only its items and checks them itself (``_point_family``,
 ``_curve_family``), and its ``query`` checks the query the same way; the
 dimension is read off the points.  ``LinearScanIndex`` is the k-d tree
-that never splits: one query walk serves both point indexes, and
-``KdTreeIndex`` differs only in how it builds the tree.  The walk keeps a
-stack of far sides.  It descends to a leaf along the near sides, pushing
-each far side with its squared gap to the splitting plane, and after each
-leaf pops far sides until one lies within the squared best radius.
-Popped last in, first out, the nodes come in the order of the recursive
-search.  ``bcp_euclid`` scans the one leaf of a ``LinearScanIndex`` over Q
-once per point of P.
+that never splits: one build and one query walk serve both point indexes,
+and ``KdTreeIndex`` differs only in its leaf size.  The walk keeps a stack
+of far sides.  It descends to a leaf along the near sides, pushing each
+far side with its squared gap to the splitting plane, and after each leaf
+pops far sides until one lies within the squared best radius.  Popped
+last in, first out, the nodes come in the order of the recursive search.
+``bcp_euclid`` scans the one leaf of a ``LinearScanIndex`` over Q once per
+point of P.
 
 The points one scan visits (one leaf) form a ``_Block``.  A block of at
 least ``_PACK_MIN`` points packs each coordinate column, and the squared
@@ -49,7 +49,7 @@ spatial index for curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from operator import mul
 
 from .core import Curve2, PointD, Rat, SqDist, as_integer_grid, curve, point
@@ -220,12 +220,8 @@ def bcp_frechet(curves_p, curves_q) -> BcpResult:
 class _KdNode:
     __slots__ = ("axis", "split", "left", "right", "bucket")
 
-    def __init__(self, axis=None, split=None, left=None, right=None, bucket=None):
-        self.axis = axis
-        self.split = split
-        self.left = left
-        self.right = right
-        self.bucket = bucket
+    def __init__(self):
+        self.axis = self.split = self.left = self.right = self.bucket = None
 
 
 class LinearScanIndex:
@@ -236,16 +232,40 @@ class LinearScanIndex:
     one leaf of a k-d tree that never splits.
     """
 
+    _leaf_size = inf  # a node of more points than this splits
+
     def __init__(self, points: list[PointD]):
         points = _point_family(points)
         self.dim = len(points[0])
         (self.coords,), self.scale = as_integer_grid([points])
         self.norms = _sq_norms(self.coords)
-        self.root = self._build(list(range(len(points))), 0)
+        self.root = self._build(list(range(len(points))))
 
-    def _build(self, idxs: list[int], depth: int) -> _KdNode:
-        """The subtree over ``idxs`` (ascending) at ``depth``: here one leaf."""
-        return _KdNode(bucket=_Block(self.coords, self.norms, idxs))
+    def _build(self, idxs: list[int]) -> _KdNode:
+        """The tree over ``idxs`` (ascending), split by ``KdTreeIndex``'s
+        rule while a node holds more than ``_leaf_size`` points, on one
+        explicit stack as the query walk keeps: a split can peel a single
+        point off (each axis of embedded one-hot points holds one point away
+        from the median), so the tree can be about n deep."""
+        root = _KdNode()
+        stack = [(root, idxs, 0)]
+        while stack:
+            node, idxs, depth = stack.pop()
+            if len(idxs) > self._leaf_size:
+                axis = depth % self.dim
+                keys = [self.coords[i][axis] for i in idxs]
+                split = sorted(keys)[(len(keys) - 1) // 2]  # lower median
+                right = [i for i, x in zip(idxs, keys) if x > split]
+                # no right side: all coordinates on this axis equal the median
+                if right:
+                    node.axis, node.split = axis, split
+                    node.left, node.right = _KdNode(), _KdNode()
+                    left = [i for i, x in zip(idxs, keys) if x <= split]
+                    stack.append((node.right, right, depth + 1))
+                    stack.append((node.left, left, depth + 1))
+                    continue
+            node.bucket = _Block(self.coords, self.norms, idxs)
+        return root
 
     def query(self, q: PointD) -> tuple[int, SqDist]:
         (q,) = _point_family((q,), self.dim)
@@ -306,29 +326,7 @@ class KdTreeIndex(LinearScanIndex):
     d outgrows log n.
     """
 
-    def _build(self, idxs: list[int], depth: int) -> _KdNode:
-        # One explicit stack, as the query walk keeps: a split can peel a
-        # single point off (each axis of embedded one-hot points holds one
-        # point away from the median), so the tree can be about n deep.
-        root = _KdNode()
-        stack = [(root, idxs, depth)]
-        while stack:
-            node, idxs, depth = stack.pop()
-            if len(idxs) > _LEAF_SIZE:
-                axis = depth % self.dim
-                coords = sorted(self.coords[i][axis] for i in idxs)
-                split = coords[(len(coords) - 1) // 2]  # lower median
-                right = [i for i in idxs if self.coords[i][axis] > split]
-                # no right side: all coordinates on this axis equal the median
-                if right:
-                    node.axis, node.split = axis, split
-                    node.left, node.right = _KdNode(), _KdNode()
-                    left = [i for i in idxs if self.coords[i][axis] <= split]
-                    stack.append((node.right, right, depth + 1))
-                    stack.append((node.left, left, depth + 1))
-                    continue
-            node.bucket = _Block(self.coords, self.norms, idxs)
-        return root
+    _leaf_size = _LEAF_SIZE
 
 
 def _grid_curve(c: Curve2) -> tuple[list[tuple[int, int]], int]:

@@ -24,7 +24,7 @@ from ovgeom.core import (
     squared_euclidean,
 )
 from ovgeom.frechet import frechet_decide, frechet_sq, frechet_sq_value
-from ovgeom.proximity import KdTreeIndex, bcp_euclid
+from ovgeom.proximity import KdTreeIndex, bcp_euclid, bcp_frechet, nn_build
 
 
 class TestInnerProduct:
@@ -128,6 +128,16 @@ class TestValidators:
             curve(())
         with pytest.raises(ValueError, match="2-dimensional"):
             curve(((1, 2, 3),))
+
+    @pytest.mark.parametrize("call", [
+        lambda inf: point([-inf, 1]),
+        lambda inf: nn_build([(inf, 0)], "euclid-linear"),
+        lambda inf: bcp_frechet([((inf, 0),)], [((0, 0),)]),
+        lambda inf: frechet_decide(((0, 0),), ((1, 1),), inf),
+    ], ids=["point", "nn_build", "bcp_frechet", "frechet_decide"])
+    def test_an_infinity_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call(float("inf"))
 
     def test_sq_dist_rejects_negative(self):
         assert sq_dist("9/4") == Rat(9, 4)

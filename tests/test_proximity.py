@@ -332,6 +332,20 @@ class TestNnStructures:
         for q in queries:
             assert nn_query(kd, q) == nn_query(lin, q)
 
+    def test_the_indexes_differ_only_in_leaf_size(self):
+        rng = random.Random(0)
+
+        def uniform():
+            return (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+
+        pts = [uniform() for _ in range(3 * LEAF)]
+        lin = LinearScanIndex(pts)
+        assert list(lin.root.bucket.idxs) == list(range(len(pts)))
+        kd = KdTreeIndex(pts)
+        assert kd.root.bucket is None
+        for q in [uniform() for _ in range(50)]:
+            assert kd.query(q) == lin.query(q)
+
     def test_kdtree_on_all_identical_points(self):
         pts = [(3, 3)] * 20
         kd = nn_build(pts, "euclid-kdtree")
