@@ -28,6 +28,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from itertools import chain
 from math import lcm
 
 __all__ = [
@@ -92,9 +93,26 @@ def point(coords) -> PointD:
     return pt
 
 
+_TUPLE = frozenset((tuple,))
+_PLANAR = frozenset((2,))
+
+
 def curve(points) -> Curve2:
-    """Freeze a sequence of planar points into a curve (length >= 1)."""
-    vertices = tuple(point(p) for p in points)
+    """Freeze a sequence of planar points into a curve (length >= 1).
+
+    Vertices that are all 2-tuples of ``int``/``Rat`` coordinates, as in a
+    curve this function returned or ``parse_curve_set`` read, are checked
+    in one pass over vertex types, lengths and coordinate types and kept as
+    they are; any other input goes vertex by vertex through ``point``.
+    """
+    vertices = tuple(points)
+    if (
+        _TUPLE.issuperset(map(type, vertices))
+        and set(map(len, vertices)) == _PLANAR
+        and _EXACT.issuperset(map(type, chain.from_iterable(vertices)))
+    ):
+        return vertices
+    vertices = tuple(map(point, vertices))
     if not vertices:
         raise ValueError("curve must have at least one vertex")
     for v in vertices:
@@ -214,20 +232,27 @@ def as_integer_grid(
     run on these ints, and Fractions appear only where a non-integer
     coordinate is parsed or built and where a result leaves as
     ``Rat(total, L * L)``.
+
+    Each distinct vertex object is rescaled once, so a vertex that repeats
+    (as the disjunction gadget's do) shares one grid tuple across the call.
     """
-    kinds = set()
-    for g in groups:
-        for p in g:
-            kinds.update(map(type, p))
-    if scale == 1 and kinds <= _INT:
+    if scale == 1 and _INT.issuperset(
+        map(type, chain.from_iterable(chain.from_iterable(groups)))
+    ):
         # every denominator is 1 and every coordinate its own numerator
         return [list(map(tuple, g)) for g in groups], 1
-    dens = {x.denominator for g in groups for p in g for x in p}
-    grid = lcm(scale, *dens)
-    return [
-        [tuple(x.numerator * (grid // x.denominator) for x in p) for p in g]
-        for g in groups
-    ], grid
+    # ``groups`` holds every vertex until the call returns, so no id repeats
+    # for a different object
+    distinct = {id(p): p for p in chain.from_iterable(groups)}
+    grid = lcm(
+        scale,
+        *{x.denominator for x in chain.from_iterable(distinct.values())},
+    )
+    on_grid = {
+        key: tuple(x.numerator * (grid // x.denominator) for x in p)
+        for key, p in distinct.items()
+    }
+    return [list(map(on_grid.__getitem__, map(id, g))) for g in groups], grid
 
 
 # Packed integers.  A packed int holds one value per w-byte field, value j

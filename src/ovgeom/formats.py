@@ -19,6 +19,11 @@ Instance file:      line 1: ``n_a n_b d``; then n_a rows of d space
 Curve-set file:     line 1: curve count; then, for each curve, its vertex
                     count on one line and one ``x y`` vertex per line.
 Point-set file:     line 1: ``count dim``; then one point per line.
+
+A curve-set file of only ASCII digits, signs, spaces and newlines
+converts each coordinate with ``int``; any other file, and any such file
+that turns out malformed, goes token by token through ``parse_rat``, so
+results and error messages are the same either way.
 """
 
 from __future__ import annotations
@@ -177,7 +182,26 @@ def format_curve_set(curves, header: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A file of only these characters has no comment and no ``num/den`` token,
+# and each of its tokens is one that ``int`` reads as ``parse_rat`` does or
+# rejects (``int`` would also take underscores and non-ASCII digits).
+_PLAIN = re.compile(r"[0-9+\- \n]*")
+
+
 def parse_curve_set(text: str) -> tuple[Curve2, ...]:
+    """A file of plain integer tokens converts with ``int``; any other file,
+    or any error, goes through ``parse_rat``. Both routes give one value on
+    a well-formed file, and every error message comes from ``parse_rat``'s
+    route (a token past the digit limit, where ``int`` raises, too)."""
+    if _PLAIN.fullmatch(text):
+        try:
+            return _curve_set(text, int)
+        except ValueError:
+            pass
+    return _curve_set(text, parse_rat)
+
+
+def _curve_set(text: str, coordinate) -> tuple[Curve2, ...]:
     rows = _data_lines(text)
     if not rows:
         raise FormatError("empty curve-set file")
@@ -197,7 +221,7 @@ def parse_curve_set(text: str) -> tuple[Curve2, ...]:
         for row in rows[at + 1 : at + 1 + n]:
             if len(row) != 2:
                 raise FormatError(f"curve vertex needs 2 coordinates, got {row!r}")
-            verts.append((parse_rat(row[0]), parse_rat(row[1])))
+            verts.append((coordinate(row[0]), coordinate(row[1])))
         out.append(tuple(verts))
         at += 1 + n
     if at != len(rows):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import OvInstance, Rat, ov_instance
+from .core import OvInstance, Rat, _rat, ov_instance
 from .ov import OvWitness, nth_root_ceil, ov_count
 
 __all__ = ["FAMILIES", "GenSpec", "generate", "planted_witness"]
@@ -54,7 +54,7 @@ class GenSpec:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.family == "unbalanced":
             alpha = self.alpha if self.alpha is not None else Rat(1, 2)
-            alpha = Rat(alpha)
+            alpha = _rat(alpha)
             if not 0 < alpha < 1:
                 raise ValueError(f"alpha must be in (0, 1), got {alpha}")
             object.__setattr__(self, "alpha", alpha)

@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .core import OvInstance, Rat
+from .core import OvInstance, Rat, _rat
 
 __all__ = [
     "OvWitness",
@@ -121,7 +121,7 @@ def plan_unbalanced(n: int, alpha: Rat) -> UnbalancedPlan:
     """Split n B-indices into ceil(n / ceil(n**alpha)) consecutive blocks."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    alpha = Rat(alpha)
+    alpha = _rat(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be strictly between 0 and 1, got {alpha}")
     block_size = nth_root_ceil(n ** alpha.numerator, alpha.denominator)

@@ -368,6 +368,8 @@ class CurveScanIndex:
         """
         (q0x, q0y), (qnx, qny) = iq[0], iq[-1]
         found = None
+        if best is not None:
+            num, den = best.numerator, best.denominator
         for i, (ip, sp) in enumerate(self.grids):
             scale = lcm(sp, sq)
             kp, kq = scale // sp, scale // sq
@@ -379,11 +381,12 @@ class CurveScanIndex:
                     (kp * p0x - kq * q0x) ** 2 + (kp * p0y - kq * q0y) ** 2,
                     (kp * pnx - kq * qnx) ** 2 + (kp * pny - kq * qny) ** 2,
                 )
-                if lb * best.denominator >= best.numerator * ll:
+                if lb * den >= num * ll:
                     continue
             value = _grid_value(_rescaled(ip, kp), _rescaled(iq, kq))
-            if best is None or value * best.denominator < best.numerator * ll:
+            if best is None or value * den < num * ll:
                 best, found = Rat(value, ll), i
+                num, den = best.numerator, best.denominator
         return found, best
 
 

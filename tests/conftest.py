@@ -95,6 +95,18 @@ MALFORMED_CURVE_SETS = [
     ("1\n1\n0 0.5\n", "bad rational token '0.5'"),
     ("1\n1\n1_000 0\n", "bad rational token '1_000'"),
     ("1\n1\n0 \u0661\n", "bad rational token '\u0661'"),
+    # integer-only files, which try ``int`` before the token grammar
+    ("1\n1\n+ 0\n", "bad rational token '+'"),
+    ("1\n1\n1-2 0\n", "bad rational token '1-2'"),
+    ("1\n1\n0 --1\n", "bad rational token '--1'"),
+    ("+\n1\n0 0\n", "expected integers, got ['+']"),
+    ("1\n-\n0 0\n", "expected integers, got ['-']"),
+    ("1\n1\n-\n", "curve vertex needs 2 coordinates, got ['-']"),
+    ("2\n1\n0 0\n1\n1 2 3\n", "curve vertex needs 2 coordinates, got ['1', '2', '3']"),
+    ("1\n3\n0 0\n1 1\n", "curve promises 3 vertices, file is short"),
+    ("1\n2\n\n0 0\n\n", "curve promises 2 vertices, file is short"),
+    ("1\n1\n0 0\n5\n", "trailing rows after curve set"),
+    ("1\n0\n", "curve vertex count must be >= 1"),
 ]
 
 MALFORMED_POINT_SETS = [
@@ -116,6 +128,13 @@ MALFORMED_POINT_SETS = [
     ("1 2\n0 0.5\n", "bad rational token '0.5'"),
     ("1 2\n1_000 0\n", "bad rational token '1_000'"),
     ("1 2\n0 \u0661\n", "bad rational token '\u0661'"),
+    # integer-only files
+    ("1 2\n+ 0\n", "bad rational token '+'"),
+    ("1 2\n1-2 0\n", "bad rational token '1-2'"),
+    ("1 2\n0 --1\n", "bad rational token '--1'"),
+    ("1 2\n1-\n", "point row needs 2 coordinates, got ['1-']"),
+    ("2 2\n0 0\n\n1 2 3\n", "point row needs 2 coordinates, got ['1', '2', '3']"),
+    ("1 2\n0 0\n\n1 1\n", "point set promises 1 rows, has 2"),
 ]
 
 small_coord = st.integers(-8, 8)

@@ -24,6 +24,8 @@ from ovgeom.core import (
     squared_euclidean,
 )
 from ovgeom.frechet import frechet_decide, frechet_sq, frechet_sq_value
+from ovgeom.generate import GenSpec
+from ovgeom.ov import plan_unbalanced
 from ovgeom.proximity import KdTreeIndex, bcp_euclid, bcp_frechet, nn_build
 
 
@@ -124,17 +126,40 @@ class TestValidators:
             assert type(mixed[1]) is Fraction and mixed[1] == Fraction(raw)
 
     def test_curve_needs_planar_vertices(self):
-        with pytest.raises(ValueError, match="at least one vertex"):
-            curve(())
-        with pytest.raises(ValueError, match="2-dimensional"):
-            curve(((1, 2, 3),))
+        for bad in ((), [], iter(())):
+            with pytest.raises(ValueError, match="at least one vertex"):
+                curve(bad)
+        for bad in (((1, 2, 3),), [(1, 2), (1, 2, 3)], [[1, 2], [3]], [(1, 2), (Fraction(1, 2),)]):
+            with pytest.raises(ValueError, match="2-dimensional"):
+                curve(bad)
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            curve([[]])
+
+    def test_curve_takes_any_vertex_sequence_as_point_does(self):
+        half = Fraction(1, 2)
+        for raw in (
+            [[1, 2], (half, 3)],
+            ((x, -x) for x in (half, 2, 10**30)),
+            [(True, 0), (1, False)],
+            [(0.5, "3/4")],
+        ):
+            raw = list(raw)
+            got = curve(v for v in raw)
+            assert got == tuple(point(v) for v in raw)
+            assert all(type(v) is tuple for v in got)
+            assert {type(x) for v in got for x in v} <= {int, Fraction}
+        # exact 2-tuples are the curve's vertices themselves
+        exact = [(10**30, half), (-7, 0)]
+        assert all(a is b for a, b in zip(curve(exact), exact))
 
     @pytest.mark.parametrize("call", [
+        lambda inf: GenSpec("unbalanced", 4, 2, alpha=inf),
+        lambda inf: plan_unbalanced(4, inf),
         lambda inf: point([-inf, 1]),
         lambda inf: nn_build([(inf, 0)], "euclid-linear"),
         lambda inf: bcp_frechet([((inf, 0),)], [((0, 0),)]),
         lambda inf: frechet_decide(((0, 0),), ((1, 1),), inf),
-    ], ids=["point", "nn_build", "bcp_frechet", "frechet_decide"])
+    ], ids=["GenSpec", "plan_unbalanced", "point", "nn_build", "bcp_frechet", "frechet_decide"])
     def test_an_infinity_is_a_value_error(self, call):
         with pytest.raises(ValueError, match="finite"):
             call(float("inf"))
@@ -217,6 +242,16 @@ class TestIntegerGrid:
             got = as_integer_grid(groups, scale)
             assert got == (want, scale)
             assert {type(x) for g in got[0] for p in g for x in p} == {int}
+
+    def test_repeated_vertex_objects_grid_as_fresh_copies(self):
+        half, third = (Fraction(1, 2), 3), (Fraction(-1, 3), Fraction(5, 7))
+        shared = [half, third, half, half, (0, 1), third]
+        fresh = [tuple(Fraction(x.numerator, x.denominator) for x in v) for v in shared]
+        for scale in (1, 4):
+            got = as_integer_grid([shared, [third, half]], scale)
+            assert got == as_integer_grid([fresh, [*fresh[1::-1]]], scale)
+            (g, h), _ = got
+            assert g[0] is g[2] is g[3] is h[1] and g[1] is g[5] is h[0]
 
 
 class TestPackedFields:

@@ -76,6 +76,10 @@ class TestRatTokens:
         assert parse_int(text) == parse_rat(text) == n
         assert parse_rat(rat_text) == r
         assert parse_point_set(f"1 2\n{text} {rat_text}\n") == ((n, r),)
+        # a plain-integer file, where int() refuses the token first
+        assert parse_curve_set(f"1\n2\n{text} 0\n1 {text}\n") == (((n, 0), (1, n)),)
+        with pytest.raises(FormatError, match="trailing rows"):
+            parse_curve_set(f"1\n1\n{text} 0\n0 0\n")
         # a bit token past the limit goes through the integer grammar too
         assert parse_instance(f"1 1 1\n{'0' * digits}1\n0\n") == ov_instance([(1,)], [(0,)])
 
@@ -224,6 +228,46 @@ class TestCurveFormats:
         with pytest.raises(FormatError) as info:
             parse_curve_set(text)
         assert str(info.value) == message
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(["{}", "+{}", "0{}"]),
+    )
+    def test_integer_file_parses_as_its_rational_spelling(self, curves, spelling):
+        # the first file takes int(), the second the token grammar
+        def token(n: int) -> str:
+            return "-" + spelling.lstrip("+").format(-n) if n < 0 else spelling.format(n)
+
+        def text(suffix: str) -> str:
+            lines = [str(len(curves))]
+            for c in curves:
+                lines.append(str(len(c)))
+                lines.extend(f"{token(x)}{suffix} {token(y)}{suffix}" for x, y in c)
+            return "\n".join(lines) + "\n"
+
+        plain = parse_curve_set(text(""))
+        assert plain == parse_curve_set(text("/1")) == tuple(map(tuple, curves))
+        assert {type(x) for c in plain for v in c for x in v} == {int}
+
+    def test_integer_file_skips_the_token_grammar(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "ovgeom.formats.parse_rat", lambda tok: calls.append(tok) or int(tok)
+        )
+        assert parse_curve_set("1\n2\n-3 +4\n05 6\n") == (((-3, 4), (5, 6)),)
+        assert calls == []
+        # a malformed integer file is parsed again, token by token
+        with pytest.raises(ValueError):
+            parse_curve_set("1\n1\n1-2 0\n")
+        assert calls == ["1-2"]
 
     def test_empty_curve_set_is_not_written(self):
         # the reader refuses a count of 0, so the writer must not emit one
