@@ -42,6 +42,20 @@ def test_scaling_experiment_quick_writes_one_summary_row_per_size(tmp_path):
         assert isinstance(row["witness"], list)
 
 
+def test_bench_trajectory_prints_one_line_per_bench_file_and_rewrites_none():
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    before = [f.read_bytes() for f in files]
+    proc = run_script("bench_trajectory.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(files)
+    for line, path in zip(lines, files):
+        tag = json.loads(path.read_text(encoding="utf-8"))["tag"]
+        assert line.startswith(f"{tag}  parent "), line
+    assert [f.read_bytes() for f in files] == before
+
+
 def test_gadget_delta_sweep_certifies_a_quarter_and_fails_two_thirds():
     proc = run_script("gadget_delta_sweep.py", "--deltas", "1/4,2/3", "--max-d", "8")
     assert proc.returncode == 1, proc.stderr

@@ -1,5 +1,8 @@
-"""Reduction-verification harness: agreement, caps, and the corrupt hook."""
+"""Reduction-verification harness: agreement, caps, the last instance's
+cached facts, and the corrupt hook."""
 
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +27,31 @@ from ovgeom.verify import (
 )
 
 ALL_ONES = ov_instance([(1, 1, 1)], [(1, 1, 1)])
+
+
+@pytest.fixture
+def fact_calls(monkeypatch):
+    """Count the calls ``verify`` makes to ``ov_decide`` and ``instance_id``,
+    starting from an empty entry for the last instance's facts."""
+    calls = {"ov_decide": 0, "instance_id": 0}
+    monkeypatch.setattr(verify, "_last", None)
+
+    def counted(name):
+        inner = getattr(verify, name)
+
+        def wrapper(inst):
+            calls[name] += 1
+            return inner(inst)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("ov_decide")
+    counted("instance_id")
+    return calls
+
+
+def _untimed(report):
+    return replace(report, oracle_ns=0, reduced_ns=0)
 
 
 class TestVerifyReduction:
@@ -83,6 +111,108 @@ class TestVerifyReduction:
         assert rep.oracle_answer is True and rep.reduced_answer is False
 
 
+def _fresh(seed=12):
+    """A new instance object, so no earlier call has cached its facts."""
+    return generate(GenSpec("planted-orthogonal", n=6, d=5, seed=seed))
+
+
+class TestFactsOfTheLastInstance:
+    """Calls on one instance object share its caps check, oracle run and
+    ``instance_id``; every other call derives them afresh."""
+
+    def test_one_call_per_kind_runs_the_oracle_and_hash_once(self, fact_calls):
+        inst = _fresh()
+        reports = [verify_reduction(kind, inst) for kind in KINDS]
+        assert fact_calls == {"ov_decide": 1, "instance_id": 1}
+        assert len({(r.oracle_answer, r.oracle_ns, r.instance_id) for r in reports}) == 1
+        assert all(r.agree for r in reports)
+
+    def test_an_equal_but_distinct_instance_runs_them_again(self, fact_calls):
+        inst, twin = _fresh(), _fresh()
+        assert inst == twin and inst is not twin
+        for obj in (inst, inst, twin, twin):
+            verify_reduction("ov-to-bcp", obj)
+        assert fact_calls == {"ov_decide": 2, "instance_id": 2}
+
+    def test_a_different_instance_in_between_runs_them_again(self, fact_calls):
+        inst, other = _fresh(1), _fresh(2)
+        for obj in (inst, inst, other, other, inst, inst):
+            verify_reduction("euclid-embed", obj)
+        assert fact_calls == {"ov_decide": 3, "instance_id": 3}
+
+    def test_an_instance_over_the_caps_raises_every_time_and_is_not_kept(
+        self, fact_calls
+    ):
+        inst = _fresh()
+        verify_reduction("ov-to-bcp", inst)
+        entry = verify._last
+        assert entry[0] is inst
+        wide = ov_instance([(1,) * 20], [(1,) * 20])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="dimension"):
+                verify_reduction("ov-to-bcp", wide)
+        assert verify._last is entry
+        verify_reduction("unbalanced-nn", inst)
+        assert fact_calls == {"ov_decide": 1, "instance_id": 1}
+
+    def test_flip_inverts_only_its_own_call_after_a_hit(self, fact_calls):
+        inst = _fresh()
+        plain = verify_reduction("ov-to-frechet", inst)
+        flipped = verify_reduction("ov-to-frechet", inst, _flip=True)
+        again = verify_reduction("ov-to-frechet", inst)
+        assert fact_calls == {"ov_decide": 1, "instance_id": 1}
+        assert plain.agree and again.agree and not flipped.agree
+        assert flipped.reduced_answer is (not plain.reduced_answer)
+        assert _untimed(again) == _untimed(plain)
+
+    def test_a_subclass_instance_is_not_kept(self, fact_calls):
+        class Tagged(type(ALL_ONES)):
+            pass
+
+        inst = Tagged(ALL_ONES.a_side, ALL_ONES.b_side, ALL_ONES.d)
+        for kind in KINDS:
+            verify_reduction(kind, inst)
+        assert fact_calls == {"ov_decide": len(KINDS), "instance_id": len(KINDS)}
+
+    def test_threads_on_alternating_instances_get_single_threaded_reports(self):
+        # More threads than cores and a tiny switch interval let the threads
+        # change places inside a call, so each one often finds another's
+        # instance in the entry.
+        yes = _fresh()
+        no = generate(GenSpec("no-orthogonal", n=6, d=5, seed=3))
+        want = {
+            (id(inst), kind): _untimed(verify_reduction(kind, inst))
+            for inst in (yes, no) for kind in KINDS
+        }
+        assert {r.oracle_answer for r in want.values()} == {True, False}
+        wrong, raised = [], []
+
+        def run(order):
+            try:
+                for _ in range(200):
+                    for inst in order:
+                        for kind in KINDS:
+                            got = _untimed(verify_reduction(kind, inst))
+                            if got != want[id(inst), kind]:
+                                wrong.append(got)
+            except Exception as exc:  # reported by the assertion below
+                raised.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(order,))
+                       for order in ((yes, no), (no, yes)) * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not raised and not wrong, (raised[:3], wrong[:3])
+
+
 class TestInstanceId:
     def test_stable_and_short(self):
         a = instance_id(ALL_ONES)
@@ -124,22 +254,9 @@ class TestRunVerify:
             if kind != "frechet-embed":
                 assert all(by_kind[kind])
 
-    def test_oracle_and_instance_id_run_once_per_instance(self, monkeypatch):
-        calls = {"ov_decide": 0, "instance_id": 0}
-
-        def counted(name):
-            inner = getattr(verify, name)
-
-            def wrapper(inst):
-                calls[name] += 1
-                return inner(inst)
-
-            monkeypatch.setattr(verify, name, wrapper)
-
-        counted("ov_decide")
-        counted("instance_id")
+    def test_oracle_and_instance_id_run_once_per_instance(self, fact_calls):
         assert len(run_verify(trials=6, max_n=4, max_d=3, seed=5)) == 6 * len(KINDS)
-        assert calls == {"ov_decide": 6, "instance_id": 6}
+        assert fact_calls == {"ov_decide": 6, "instance_id": 6}
 
     def test_reports_match_verify_reduction_on_each_instance(self, monkeypatch):
         made = []
@@ -152,13 +269,10 @@ class TestRunVerify:
         reports = run_verify(trials=30, max_n=5, max_d=4, seed=3)
         assert len(made) == 30 and len(reports) == 30 * len(KINDS)
 
-        def untimed(r):
-            return replace(r, oracle_ns=0, reduced_ns=0)
-
         for i, inst in enumerate(made):
             rows = reports[i * len(KINDS):(i + 1) * len(KINDS)]
-            assert [untimed(r) for r in rows] == [
-                untimed(verify_reduction(kind, inst)) for kind in KINDS
+            assert [_untimed(r) for r in rows] == [
+                _untimed(verify_reduction(kind, inst)) for kind in KINDS
             ]
             assert len({r.oracle_ns for r in rows}) == 1
 
